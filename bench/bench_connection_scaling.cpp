@@ -365,17 +365,9 @@ void PrintRow(const char* label, const LevelResult& r) {
 int main(int argc, char** argv) {
   std::string out_path = "BENCH_connection_scaling.json";
   bool smoke = false;
-  http::IoBackendKind io_backend = http::IoBackendKind::kEpoll;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) {
       smoke = true;
-    } else if (std::strcmp(argv[i], "--io-backend") == 0 && i + 1 < argc) {
-      const auto kind = http::ParseIoBackendKind(argv[++i]);
-      if (!kind) {
-        std::fprintf(stderr, "unknown --io-backend %s (epoll|io_uring)\n", argv[i]);
-        return 2;
-      }
-      io_backend = *kind;
     } else {
       out_path = argv[i];
     }
@@ -425,7 +417,6 @@ int main(int argc, char** argv) {
   {
     http::TcpServer server;
     http::ServerOptions options;
-    options.io_backend = io_backend;
     options.max_connections = 4096;       // above the largest level
     options.max_queued_requests = 16384;  // measure latency, not load shedding
     if (!server.Start(BenchHandler(), 0, options).ok()) {

@@ -1,10 +1,9 @@
 // google-benchmark micro suite for the REST/JSON substrate — the layer the
 // reproduction band flagged as "awkward": JSON parse/serialize, pointer
-// resolution, schema validation, merge-patch, $filter evaluation, router
-// dispatch, and a whole in-process OFMF GET.
+// resolution, schema validation, merge-patch, $filter evaluation, wire
+// round trips, and a whole in-process OFMF GET.
 #include <benchmark/benchmark.h>
 
-#include "http/router.hpp"
 #include "http/server.hpp"
 #include "http/wire.hpp"
 #include "json/merge_patch.hpp"
@@ -106,27 +105,6 @@ void BM_FilterMatchOnly(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FilterMatchOnly);
-
-void BM_RouterDispatch(benchmark::State& state) {
-  http::Router router;
-  for (const char* route :
-       {"/redfish/v1", "/redfish/v1/Fabrics", "/redfish/v1/Fabrics/{fid}",
-        "/redfish/v1/Fabrics/{fid}/Endpoints", "/redfish/v1/Fabrics/{fid}/Endpoints/{eid}",
-        "/redfish/v1/Systems", "/redfish/v1/Systems/{sid}", "/redfish/v1/Chassis/{cid}",
-        "/redfish/v1/TaskService/Tasks/{tid}"}) {
-    router.Route(http::Method::kGet, route,
-                 [](const http::Request&, const http::PathParams&) {
-                   return http::MakeEmptyResponse(204);
-                 });
-  }
-  const http::Request request =
-      http::MakeRequest(http::Method::kGet, "/redfish/v1/Fabrics/CXL/Endpoints/host0");
-  for (auto _ : state) {
-    http::Response response = router.Dispatch(request);
-    benchmark::DoNotOptimize(response);
-  }
-}
-BENCHMARK(BM_RouterDispatch);
 
 void BM_WireRoundTrip(benchmark::State& state) {
   const http::Request request = http::MakeJsonRequest(

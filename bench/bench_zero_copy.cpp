@@ -1,9 +1,8 @@
 // Zero-copy response path bench: a cached Redfish-style GET served through
-// the scatter-gather reactor (epoll and io_uring backends) against the PR 5
-// copy discipline, reconstructed in-bench. One keep-alive connection issues
-// sequential GETs for a collection-sized JSON body; the rows report
-// cached-GET ns/op, user-space body bytes copied per request, and server
-// syscalls per request.
+// the scatter-gather epoll reactor against the earlier copy discipline,
+// reconstructed in-bench. One keep-alive connection issues sequential GETs
+// for a collection-sized JSON body; the rows report cached-GET ns/op,
+// user-space body bytes copied per request, and server syscalls per request.
 //
 // The baseline reproduces what the pre-slab server did per cache hit, with
 // every copy accounted through CountBodyCopy:
@@ -33,7 +32,6 @@
 #include <thread>
 #include <vector>
 
-#include "http/io_backend.hpp"
 #include "http/message.hpp"
 #include "http/server.hpp"
 #include "http/wire.hpp"
@@ -371,23 +369,14 @@ int main(int argc, char** argv) {
     baseline.Stop();
   }
 
-  // The zero-copy reactor under both IO backends.
-  for (const http::IoBackendKind kind :
-       {http::IoBackendKind::kEpoll, http::IoBackendKind::kUring}) {
-    if (kind == http::IoBackendKind::kUring && !http::IoUringSupported()) {
-      std::printf("  %-18s skipped (kernel lacks io_uring support)\n",
-                  to_string(kind));
-      continue;
-    }
+  // The zero-copy reactor.
+  {
     http::TcpServer server;
-    http::ServerOptions options;
-    options.io_backend = kind;
-    if (!server.Start(CacheHitHandler(body), 0, options).ok()) {
-      std::fprintf(stderr, "%s reactor failed to start\n", to_string(kind));
+    if (!server.Start(CacheHitHandler(body), 0).ok()) {
+      std::fprintf(stderr, "epoll reactor failed to start\n");
       return 1;
     }
-    rows.push_back(RunRequests(std::string("reactor-") + to_string(kind),
-                               server.port(), requests, warmup,
+    rows.push_back(RunRequests("reactor-epoll", server.port(), requests, warmup,
                                [&] { return ReactorSyscalls(server); }));
     PrintRow(rows.back());
     server.Stop();
@@ -395,7 +384,9 @@ int main(int argc, char** argv) {
 
   // ------------------------------------------------------------ verdicts ---
   const Row& baseline = rows[0];
-  double speedup_epoll = 0.0;
+  const Row& reactor = rows[1];
+  const double speedup_epoll =
+      reactor.ns_per_op > 0 ? baseline.ns_per_op / reactor.ns_per_op : 0.0;
   bool zero_copy_held = true;
   std::size_t total_errors = 0;
   json::Array json_rows;
@@ -403,9 +394,6 @@ int main(int argc, char** argv) {
     const Row& r = rows[i];
     total_errors += r.errors;
     if (i > 0 && r.bytes_copied_per_request != 0.0) zero_copy_held = false;
-    if (r.name == "reactor-epoll" && r.ns_per_op > 0) {
-      speedup_epoll = baseline.ns_per_op / r.ns_per_op;
-    }
     json_rows.push_back(
         Json::Obj({{"name", r.name},
                    {"requests", static_cast<std::int64_t>(r.requests)},

@@ -11,10 +11,6 @@
 //   $ ./examples/rest_server 8080 30 --workers 8 --max-conns 4096 --idle-timeout-ms 15000
 //       # reactor tuning: worker threads handling requests, concurrent
 //       # connection cap, and how long an idle keep-alive connection lives.
-//   $ ./examples/rest_server 8080 30 --io-backend io_uring
-//       # serve through the io_uring reactor backend (multishot accept,
-//       # batched interest changes); falls back to epoll with a warning when
-//       # the kernel lacks io_uring support.
 //   $ ./examples/rest_server 8080 30 --trace-sample 1.0 --slow-ms 50
 //       # trace every request; requests slower than 50 ms dump their whole
 //       # span tree to stderr via OFMF_WARN. Scrape
@@ -99,14 +95,6 @@ int main(int argc, char** argv) {
       server_options.max_connections = static_cast<std::size_t>(std::atoi(argv[++i]));
     } else if (std::strcmp(argv[i], "--idle-timeout-ms") == 0 && i + 1 < argc) {
       server_options.idle_timeout_ms = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--io-backend") == 0 && i + 1 < argc) {
-      const char* name = argv[++i];
-      const auto kind = http::ParseIoBackendKind(name);
-      if (!kind) {
-        std::fprintf(stderr, "unknown --io-backend %s (epoll|io_uring)\n", name);
-        return 2;
-      }
-      server_options.io_backend = *kind;
     } else if (positional == 0) {
       port = static_cast<std::uint16_t>(std::atoi(argv[i]));
       ++positional;
@@ -247,8 +235,7 @@ int main(int argc, char** argv) {
     // counters through this hook (refreshed lazily on GET of the report).
     ofmf.telemetry().SetTenantQosSource([&server] { return server.TenantQosStats(); });
   }
-  std::printf("OFMF listening on http://127.0.0.1:%u/redfish/v1 (%s backend)\n",
-              server.port(), server.backend_name());
+  std::printf("OFMF listening on http://127.0.0.1:%u/redfish/v1\n", server.port());
   std::printf("credentials: admin / ofmf (POST %s)\n\n", core::kSessions);
 
   // Federation: announce this shard to the directory and keep heartbeating

@@ -5,6 +5,7 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
+#include <sys/epoll.h>
 #include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <sys/time.h>
@@ -100,7 +101,7 @@ struct TcpServer::Conn {
   std::deque<OutChunk> outbox;   // response segments awaiting the wire
   std::size_t out_off = 0;       // sent bytes of the front segment
   std::size_t out_bytes = 0;     // total unsent bytes across segments
-  std::uint32_t mask = 0;        // backend interest currently installed
+  std::uint32_t mask = 0;        // epoll interest currently installed
   std::size_t requests = 0;      // requests taken off this connection
   bool busy = false;         // a request is with the worker pool
   bool discard = false;      // parse error / limit breach: ignore further input
@@ -197,30 +198,18 @@ Status TcpServer::Start(ServerHandler handler, std::uint16_t port,
   ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &addr_len);
   port_ = ntohs(addr.sin_port);
 
-  backend_ = MakeIoBackend(options_.io_backend);
-  Status backend_status = backend_->Init();
-  if (!backend_status.ok() && options_.io_backend == IoBackendKind::kUring) {
-    // Graceful runtime fallback: a kernel without (usable) io_uring still
-    // serves traffic, just through the portable backend.
-    OFMF_WARN << "io_uring backend unavailable (" << backend_status.message()
-              << "); falling back to epoll";
-    options_.io_backend = IoBackendKind::kEpoll;
-    backend_ = MakeIoBackend(IoBackendKind::kEpoll);
-    backend_status = backend_->Init();
-  }
-  wake_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
-  if (!backend_status.ok() || wake_fd_ < 0) {
-    const std::string detail =
-        backend_status.ok() ? std::strerror(errno) : backend_status.message();
+  epoll_fd_ = ::epoll_create1(0);
+  wake_fd_ = epoll_fd_ >= 0 ? ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC) : -1;
+  if (wake_fd_ < 0) {
+    const std::string detail = std::strerror(errno);
     ::close(listen_fd_);
     listen_fd_ = -1;
-    if (wake_fd_ >= 0) ::close(wake_fd_);
-    wake_fd_ = -1;
-    backend_.reset();
-    return Status::Internal("io backend/eventfd: " + detail);
+    if (epoll_fd_ >= 0) ::close(epoll_fd_);
+    epoll_fd_ = -1;
+    return Status::Internal("epoll/eventfd: " + detail);
   }
-  backend_->Add(listen_fd_, kListenTag, IoBackend::kAccept);
-  backend_->Add(wake_fd_, kWakeTag, IoBackend::kReadable);
+  EpollCtl(EPOLL_CTL_ADD, listen_fd_, kListenTag, EPOLLIN);
+  EpollCtl(EPOLL_CTL_ADD, wake_fd_, kWakeTag, EPOLLIN);
 
   stream_channel_ = std::make_shared<StreamWriter::Channel>();
   stream_channel_->wake_fd = wake_fd_;
@@ -275,7 +264,10 @@ void TcpServer::Stop() {
     ::close(wake_fd_);
     wake_fd_ = -1;
   }
-  backend_.reset();
+  if (epoll_fd_ >= 0) {
+    ::close(epoll_fd_);
+    epoll_fd_ = -1;
+  }
 }
 
 std::vector<qos::TenantStats> TcpServer::TenantQosStats() const {
@@ -300,11 +292,8 @@ ServerStats TcpServer::stats() const {
   s.accept_backoff_bursts = accept_backoff_bursts_.load(std::memory_order_relaxed);
   s.io_recv_calls = recv_calls_.load(std::memory_order_relaxed);
   s.io_send_calls = send_calls_.load(std::memory_order_relaxed);
-  if (backend_) {
-    const IoBackend::Counters counters = backend_->counters();
-    s.backend_wait_calls = counters.wait_calls;
-    s.backend_ctl_calls = counters.ctl_calls;
-  }
+  s.backend_wait_calls = epoll_wait_calls_.load(std::memory_order_relaxed);
+  s.backend_ctl_calls = epoll_ctl_calls_.load(std::memory_order_relaxed);
   return s;
 }
 
@@ -320,16 +309,17 @@ void TcpServer::LoopMain() {
           : 500);
   next_idle_sweep_ = Now() + sweep_interval;
 
-  std::array<IoBackend::Event, 256> events;
+  std::array<epoll_event, 256> events;
   while (true) {
     const int timeout = LoopTimeoutMs(Now());
-    const int n = backend_->Wait(events.data(), static_cast<int>(events.size()),
-                                 timeout);
+    epoll_wait_calls_.fetch_add(1, std::memory_order_relaxed);
+    const int n = ::epoll_wait(epoll_fd_, events.data(), static_cast<int>(events.size()),
+                               timeout);
     if (stop_requested_.load()) break;
     for (int i = 0; i < n; ++i) {
-      const std::uint64_t tag = events[i].tag;
+      const std::uint64_t tag = events[i].data.u64;
       if (tag == kListenTag) {
-        HandleAccept(events[i]);
+        HandleAccept();
       } else if (tag == kWakeTag) {
         std::uint64_t drained = 0;
         while (::read(wake_fd_, &drained, sizeof(drained)) > 0) {
@@ -338,7 +328,7 @@ void TcpServer::LoopMain() {
         HandleCompletions();
         DrainStreamOps();
       } else {
-        HandleConnEvent(tag, events[i]);
+        HandleConnEvent(tag, events[i].events);
       }
     }
     if (stop_requested_.load()) break;
@@ -356,7 +346,7 @@ void TcpServer::LoopMain() {
   // and are dropped.
   for (auto& [id, conn] : conns_) {
     MarkStreamClosed(*conn);
-    backend_->Remove(conn->fd, id);
+    EpollCtl(EPOLL_CTL_DEL, conn->fd, id, 0);
     ::close(conn->fd);
     closed_.fetch_add(1, std::memory_order_relaxed);
   }
@@ -383,36 +373,12 @@ int TcpServer::LoopTimeoutMs(std::chrono::steady_clock::time_point now) const {
   return static_cast<int>(std::min<long long>(best, 60000)) + 1;
 }
 
-void TcpServer::HandleAccept(const IoBackend::Event& event) {
-  // Completion-mode delivery (io_uring multishot accept): the event carries
-  // either a ready connection fd or the accept errno — no accept4 call.
-  if (event.accept_error != 0) {
-    if (event.accept_error != EINTR && event.accept_error != ECONNABORTED) {
-      accept_failures_.fetch_add(1, std::memory_order_relaxed);
-      EnterAcceptBackoff(event.accept_error);
-    }
-    return;
-  }
-  if (event.accepted_fd >= 0) {
-    if (conns_.size() >= options_.max_connections) {
-      ::close(event.accepted_fd);
-      if (accept_registered_) {
-        backend_->Remove(listen_fd_, kListenTag);
-        accept_registered_ = false;
-      }
-      accept_paused_full_ = true;
-      return;
-    }
-    AdoptAccepted(event.accepted_fd);
-    return;
-  }
-
-  // Readiness-mode delivery (epoll, or io_uring poll fallback): drain the
-  // kernel backlog with accept4.
+void TcpServer::HandleAccept() {
+  // Drain the kernel backlog with accept4.
   while (true) {
     if (conns_.size() >= options_.max_connections) {
       if (accept_registered_) {
-        backend_->Remove(listen_fd_, kListenTag);
+        EpollCtl(EPOLL_CTL_DEL, listen_fd_, kListenTag, 0);
         accept_registered_ = false;
       }
       accept_paused_full_ = true;
@@ -446,7 +412,6 @@ void TcpServer::AdoptAccepted(int fd) {
   in_accept_backoff_ = false;
   accept_backoff_ms_ = 0;
   accepted_.fetch_add(1, std::memory_order_relaxed);
-  SetNonBlocking(fd);  // idempotent for accept4/multishot-accept fds
   const int nodelay = 1;
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &nodelay, sizeof(nodelay));
 
@@ -455,8 +420,8 @@ void TcpServer::AdoptAccepted(int fd) {
   conn->id = next_conn_id_++;
   conn->parser.set_limits(options_.max_header_bytes, options_.max_body_bytes);
   conn->idle_deadline = Now() + std::chrono::milliseconds(options_.idle_timeout_ms);
-  conn->mask = IoBackend::kReadable;
-  if (!backend_->Add(fd, conn->id, IoBackend::kReadable).ok()) {
+  conn->mask = EPOLLIN;
+  if (!EpollCtl(EPOLL_CTL_ADD, fd, conn->id, EPOLLIN)) {
     ::close(fd);
     return;
   }
@@ -477,7 +442,7 @@ void TcpServer::EnterAcceptBackoff(int err) {
     accept_backoff_bursts_.fetch_add(1, std::memory_order_relaxed);
   }
   if (accept_registered_) {
-    backend_->Remove(listen_fd_, kListenTag);
+    EpollCtl(EPOLL_CTL_DEL, listen_fd_, kListenTag, 0);
     accept_registered_ = false;
   }
   accept_rearm_at_ = Now() + std::chrono::milliseconds(accept_backoff_ms_);
@@ -486,21 +451,23 @@ void TcpServer::EnterAcceptBackoff(int err) {
 void TcpServer::RearmAcceptIfDue(std::chrono::steady_clock::time_point now) {
   if (accept_registered_ || accept_paused_full_ || !in_accept_backoff_) return;
   if (now < accept_rearm_at_) return;
-  if (backend_->Add(listen_fd_, kListenTag, IoBackend::kAccept).ok()) {
+  if (EpollCtl(EPOLL_CTL_ADD, listen_fd_, kListenTag, EPOLLIN)) {
     accept_registered_ = true;
   }
 }
 
-void TcpServer::HandleConnEvent(std::uint64_t id, const IoBackend::Event& event) {
+void TcpServer::HandleConnEvent(std::uint64_t id, std::uint32_t events) {
   {
     auto it = conns_.find(id);
     if (it == conns_.end()) return;
     Conn& c = *it->second;
-    if (event.hangup && !event.readable) {
+    const bool readable = (events & EPOLLIN) != 0;
+    const bool hangup = (events & (EPOLLERR | EPOLLHUP)) != 0;
+    if (hangup && !readable) {
       CloseConn(id);
       return;
     }
-    if (event.readable || event.hangup) {
+    if (readable || hangup) {
       while (true) {
         // Receive straight into the parser's pooled slab: no intermediate
         // stack buffer, no Feed() memcpy. Doomed connections drain into a
@@ -924,11 +891,19 @@ void TcpServer::SyncInterest(Conn& conn) {
   // disconnect surfaces as EOF instead of lingering until a failed write.
   const bool read_paused = (conn.discard && !conn.streaming) || conn.saw_eof ||
                            (conn.busy && conn.parser.buffered_bytes() > 0);
-  if (!read_paused) want |= IoBackend::kReadable;
-  if (!conn.outbox.empty()) want |= IoBackend::kWritable;
+  if (!read_paused) want |= EPOLLIN;
+  if (!conn.outbox.empty()) want |= EPOLLOUT;
   if (want == conn.mask) return;
-  backend_->Modify(conn.fd, conn.id, want);
+  EpollCtl(EPOLL_CTL_MOD, conn.fd, conn.id, want);
   conn.mask = want;
+}
+
+bool TcpServer::EpollCtl(int op, int fd, std::uint64_t tag, std::uint32_t events) {
+  epoll_ctl_calls_.fetch_add(1, std::memory_order_relaxed);
+  epoll_event ev{};
+  ev.events = events;
+  ev.data.u64 = tag;
+  return ::epoll_ctl(epoll_fd_, op, fd, &ev) == 0;
 }
 
 void TcpServer::HandleCompletions() {
@@ -971,14 +946,14 @@ void TcpServer::CloseConn(std::uint64_t id) {
   auto it = conns_.find(id);
   if (it == conns_.end()) return;
   MarkStreamClosed(*it->second);
-  backend_->Remove(it->second->fd, id);
+  EpollCtl(EPOLL_CTL_DEL, it->second->fd, id, 0);
   ::close(it->second->fd);
   conns_.erase(it);
   closed_.fetch_add(1, std::memory_order_relaxed);
   if (accept_paused_full_ && conns_.size() < options_.max_connections) {
     accept_paused_full_ = false;
     if (!in_accept_backoff_) {
-      if (backend_->Add(listen_fd_, kListenTag, IoBackend::kAccept).ok()) {
+      if (EpollCtl(EPOLL_CTL_ADD, listen_fd_, kListenTag, EPOLLIN)) {
         accept_registered_ = true;
       }
     }

@@ -7,8 +7,8 @@
 // every connection fd, parses requests incrementally, and dispatches each
 // complete request to a bounded worker pool; workers hand finished responses
 // back to the loop through an eventfd. Handler code never runs on the loop
-// thread and never touches a socket. Readiness delivery is pluggable via
-// IoBackend (epoll by default, io_uring when selected and supported), and
+// thread and never touches a socket. Readiness comes from one level-triggered
+// epoll set (epoll_wait per loop turn, epoll_ctl per interest change), and
 // responses leave through a zero-copy scatter-gather outbox: per-connection
 // (owner, data, size) segments flushed with sendmsg, so a cached body slab
 // is never concatenated or copied. See DESIGN.md "HTTP reactor" and
@@ -30,7 +30,6 @@
 #include "common/qos.hpp"
 #include "common/result.hpp"
 #include "common/threadpool.hpp"
-#include "http/io_backend.hpp"
 #include "http/message.hpp"
 #include "http/stream.hpp"
 #include "http/wire.hpp"
@@ -98,9 +97,6 @@ struct ServerOptions {
   std::function<qos::TenantSpec(const Request&)> tenant_classifier;
   /// Per-tenant queue bound for specs that leave max_queue at 0.
   std::size_t qos_queue_per_tenant = 256;
-  /// Readiness backend. kUring falls back to epoll at Start() when the
-  /// kernel lacks io_uring (logged, not an error).
-  IoBackendKind io_backend = IoBackendKind::kEpoll;
 };
 
 /// Monotonic counters the reactor maintains (relaxed atomics; exact values
@@ -122,8 +118,8 @@ struct ServerStats {
   // Syscall accounting for the zero-copy bench (syscalls/request).
   std::uint64_t io_recv_calls = 0;       // recv() syscalls issued by the loop
   std::uint64_t io_send_calls = 0;       // sendmsg() syscalls issued
-  std::uint64_t backend_wait_calls = 0;  // blocking waits (epoll_wait/enter)
-  std::uint64_t backend_ctl_calls = 0;   // interest-change syscalls
+  std::uint64_t backend_wait_calls = 0;  // epoll_wait() syscalls
+  std::uint64_t backend_ctl_calls = 0;   // epoll_ctl() syscalls
 };
 
 /// Non-blocking epoll reactor HTTP/1.1 server on 127.0.0.1. Keep-alive and
@@ -150,17 +146,18 @@ class TcpServer {
   /// Per-tenant scheduler counters (empty when QoS is off). Safe from any
   /// thread; feeds the TenantQoS MetricReport.
   std::vector<qos::TenantStats> TenantQosStats() const;
-  /// The backend actually in use (after any fallback); "" before Start().
-  const char* backend_name() const { return backend_ ? backend_->name() : ""; }
+  /// The readiness mechanism, for run reports.
+  const char* backend_name() const { return "epoll"; }
 
  private:
   struct Conn;
 
   void LoopMain();
-  void HandleAccept(const IoBackend::Event& event);
-  /// Registers a connection the backend (or accept4) just produced.
+  void HandleAccept();
+  /// Registers a connection accept4 just produced.
   void AdoptAccepted(int fd);
-  void HandleConnEvent(std::uint64_t id, const IoBackend::Event& event);
+  /// `events` is the epoll_event mask reported for the connection.
+  void HandleConnEvent(std::uint64_t id, std::uint32_t events);
   /// Per-connection pump: flush output, then take/dispatch buffered
   /// requests, until blocked (EAGAIN), waiting on a worker, or closed.
   void ServiceConn(std::uint64_t id);
@@ -175,6 +172,9 @@ class TcpServer {
   void QueueResponse(Conn& conn, Response response, bool close_after);
   bool WriteSome(Conn& conn);
   void SyncInterest(Conn& conn);
+  /// One counted epoll_ctl; `events` is an EPOLLIN/EPOLLOUT mask (errors and
+  /// hangups are always reported). Returns false when the kernel refuses.
+  bool EpollCtl(int op, int fd, std::uint64_t tag, std::uint32_t events);
   void CloseConn(std::uint64_t id);
   void HandleCompletions();
   /// Moves producer-pushed stream chunks from the wake channel into their
@@ -194,7 +194,7 @@ class TcpServer {
   std::uint16_t port_ = 0;
   int listen_fd_ = -1;
   int wake_fd_ = -1;  // eventfd: worker completions + shutdown
-  std::unique_ptr<IoBackend> backend_;
+  int epoll_fd_ = -1;
   std::unique_ptr<ThreadPool> pool_;
 
   std::atomic<bool> running_{false};
@@ -237,7 +237,8 @@ class TcpServer {
   std::atomic<std::uint64_t> accepted_{0}, closed_{0}, served_{0},
       parse_errors_{0}, limit_rejections_{0}, overload_rejections_{0},
       idle_closed_{0}, accept_failures_{0}, accept_backoff_bursts_{0},
-      recv_calls_{0}, send_calls_{0}, streams_opened_{0}, rate_limited_{0};
+      recv_calls_{0}, send_calls_{0}, streams_opened_{0}, rate_limited_{0},
+      epoll_wait_calls_{0}, epoll_ctl_calls_{0};
 };
 
 /// Blocking client against 127.0.0.1:port with a keep-alive connection pool:

@@ -134,14 +134,16 @@ Result<CompositionService::QosPlacementCheck> CompositionService::EvaluateQosPla
   return check;
 }
 
-Status CompositionService::SetBlockState(const std::string& block_uri,
-                                         const std::string& state) {
-  const int compositions = state == "Composed" ? 1 : 0;
+Status CompositionService::FreeBlock(const std::string& block_uri) {
+  // The null drops any federation claim tag (merge-patch removal): a freed
+  // block carrying a stale transaction would read as another shard's claim
+  // once a later local Compose took it, and recovery would leak that claim.
   return tree_.Patch(
       block_uri,
-      json::Json::Obj({{"CompositionStatus",
-                        json::Json::Obj({{"CompositionState", state},
-                                         {"NumberOfCompositions", compositions}})}}));
+      json::Json::Obj(
+          {{"CompositionStatus",
+            json::Json::Obj({{"CompositionState", "Unused"}, {"NumberOfCompositions", 0}})},
+           {"Oem", json::Json::Obj({{"Ofmf", json::Json::Obj({{"ClaimedBy", nullptr}})}})}}));
 }
 
 Status CompositionService::ClaimBlock(const std::string& block_uri) {
@@ -171,7 +173,7 @@ Status CompositionService::ClaimBlock(const std::string& block_uri) {
 
 void CompositionService::ReleaseBlocks(const std::vector<std::string>& block_uris) {
   for (const std::string& uri : block_uris) {
-    (void)SetBlockState(uri, "Unused");
+    (void)FreeBlock(uri);
   }
 }
 
@@ -362,7 +364,7 @@ Status CompositionService::Decompose(const std::string& system_uri) {
     return blocks.status();
   }
   for (const std::string& block_uri : *blocks) {
-    const Status freed = SetBlockState(block_uri, "Unused");
+    const Status freed = FreeBlock(block_uri);
     if (!freed.ok() && freed.code() != ErrorCode::kNotFound) return freed;
   }
   OFMF_RETURN_IF_ERROR(tree_.RemoveMember(kSystems, system_uri));
@@ -392,7 +394,7 @@ Status CompositionService::ExpandSystem(const std::string& system_uri,
       system_uri,
       json::Json::Obj({{"Links", json::Json::Obj({{"ResourceBlocks", updated_blocks}})}}));
   if (!linked.ok()) {
-    (void)SetBlockState(block_uri, "Unused");
+    (void)FreeBlock(block_uri);
     return linked;
   }
   const Status summarized = RefreshSummaries(system_uri);
@@ -400,7 +402,7 @@ Status CompositionService::ExpandSystem(const std::string& system_uri,
     (void)tree_.Patch(system_uri, json::Json::Obj({{"Links",
                                                     json::Json::Obj(
                                                         {{"ResourceBlocks", *blocks}})}}));
-    (void)SetBlockState(block_uri, "Unused");
+    (void)FreeBlock(block_uri);
     return summarized;
   }
 
@@ -492,7 +494,7 @@ Result<CompositionService::CompositionRecovery> CompositionService::RecoverConsi
     // unwind replayed at recovery time.
     if (blocks.ok()) {
       for (const std::string& block_uri : *blocks) {
-        if (tree_.Exists(block_uri)) (void)SetBlockState(block_uri, "Unused");
+        if (tree_.Exists(block_uri)) (void)FreeBlock(block_uri);
       }
     }
     (void)tree_.RemoveMember(kSystems, system_uri);
@@ -512,7 +514,7 @@ Result<CompositionService::CompositionRecovery> CompositionService::RecoverConsi
     // took it over the wire, and only the router (rollback) or a federated
     // decompose releases it. Local recovery must not free it.
     if (!block->at("Oem").at("Ofmf").GetString("ClaimedBy").empty()) continue;
-    OFMF_RETURN_IF_ERROR(SetBlockState(block_uri, "Unused"));
+    OFMF_RETURN_IF_ERROR(FreeBlock(block_uri));
     ++recovery.claims_released;
   }
   return recovery;

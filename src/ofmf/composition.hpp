@@ -143,7 +143,8 @@ class CompositionService {
   Result<CompositionRecovery> RecoverConsistency();
 
  private:
-  Status SetBlockState(const std::string& block_uri, const std::string& state);
+  /// Returns a block to Unused and clears its Oem.Ofmf.ClaimedBy tag.
+  Status FreeBlock(const std::string& block_uri);
   /// Atomically claims an Unused block (CAS on the block's ETag); retries a
   /// few times on CAS races, fails FailedPrecondition when the block is
   /// taken or contended.

@@ -229,13 +229,19 @@ class FederationFixture : public ::testing::Test {
            std::to_string(i);
   }
 
-  std::string BlockState(const std::string& shard_id, const std::string& uri) {
+  /// A block's payload read straight from its shard (null when unreadable).
+  Json BlockDoc(const std::string& shard_id, const std::string& uri) {
     http::InProcessClient direct(shard(shard_id).service.Handler());
     const auto response = direct.Send(http::MakeRequest(http::Method::kGet, uri));
-    if (!response.ok() || !response.value().ok()) return "<unreachable>";
+    if (!response.ok() || !response.value().ok()) return Json();
     auto doc = json::Parse(response.value().body.view());
-    if (!doc.ok()) return "<malformed>";
-    return doc.value().at("CompositionStatus").GetString("CompositionState");
+    return doc.ok() ? std::move(doc.value()) : Json();
+  }
+
+  std::string BlockState(const std::string& shard_id, const std::string& uri) {
+    const Json doc = BlockDoc(shard_id, uri);
+    if (!doc.is_object()) return "<unreadable>";
+    return doc.at("CompositionStatus").GetString("CompositionState");
   }
 
   std::vector<std::string> Members(const Json& collection) {
@@ -406,6 +412,35 @@ TEST_F(FederationFixture, CrossShardComposeClaimsAndDecomposeReleases) {
   EXPECT_EQ(GetJson(core::kSystems).GetInt("Members@odata.count"), 0);
   EXPECT_GE(router_->stats().cross_shard_composes, 1u);
   EXPECT_EQ(router_->stats().compose_rollbacks, 0u);
+}
+
+// The router stamps every block it claims with its transaction id
+// (Oem.Ofmf.ClaimedBy), the home shard's own blocks included. A Decompose
+// must clear that tag wherever it frees a block: a later local Compose would
+// otherwise re-claim the block still carrying the stale id, and if the shard
+// then died before the system existed, recovery would skip the block as
+// another shard's claim and leak it.
+TEST_F(FederationFixture, CrossShardDecomposeClearsClaimTagsOnEveryBlock) {
+  StartShards(2, 2);
+  const std::vector<std::string> blocks = {BlockUri("s1", 0), BlockUri("s1", 1),
+                                           BlockUri("s2", 0)};
+  const http::Response composed =
+      Route(http::MakeJsonRequest(http::Method::kPost, core::kSystems, ComposeBody(blocks)));
+  ASSERT_EQ(composed.status, 201) << composed.body.view();
+  EXPECT_FALSE(BlockDoc("s1", blocks[0]).at("Oem").at("Ofmf").GetString("ClaimedBy").empty());
+  const http::Response deleted = Route(http::MakeRequest(
+      http::Method::kDelete, composed.headers.GetOr("Location", "")));
+  ASSERT_EQ(deleted.status, 204) << deleted.body.view();
+
+  for (const std::string shard_id : {"s1", "s2"}) {
+    for (int i = 0; i < 2; ++i) {
+      const std::string uri = BlockUri(shard_id, i);
+      const Json block = BlockDoc(shard_id, uri);
+      EXPECT_EQ(block.at("CompositionStatus").GetString("CompositionState"), "Unused")
+          << uri;
+      EXPECT_EQ(block.at("Oem").at("Ofmf").GetString("ClaimedBy"), "") << uri;
+    }
+  }
 }
 
 TEST_F(FederationFixture, ClaimFailureMidComposeRollsBackEarlierClaims) {

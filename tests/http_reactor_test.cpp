@@ -74,39 +74,15 @@ ServerHandler EchoHandler() {
   };
 }
 
-// Every reactor test runs against both readiness backends; the io_uring
-// variant self-skips on kernels without (usable) io_uring support.
-class ReactorTest : public ::testing::TestWithParam<IoBackendKind> {
- protected:
-  void SetUp() override {
-    if (GetParam() == IoBackendKind::kUring && !IoUringSupported()) {
-      GTEST_SKIP() << "io_uring unavailable on this kernel";
-    }
-  }
-  /// Server options preset to the backend under test.
-  ServerOptions Options() const {
-    ServerOptions options;
-    options.io_backend = GetParam();
-    return options;
-  }
-};
-
-INSTANTIATE_TEST_SUITE_P(Backends, ReactorTest,
-                         ::testing::Values(IoBackendKind::kEpoll,
-                                           IoBackendKind::kUring),
-                         [](const ::testing::TestParamInfo<IoBackendKind>& backend) {
-                           return std::string(to_string(backend.param));
-                         });
-
 // ------------------------------------------------- Stop() responsiveness ---
 
 // Seed bug: connection threads blocked in ::recv on idle keep-alive
 // connections; Stop() closed only the listen fd, then joined those threads
 // forever. The reactor never blocks in recv, so Stop() must return promptly
 // no matter how many idle keep-alive connections are open.
-TEST_P(ReactorTest, StopReturnsPromptlyWithIdleKeepAliveConnections) {
+TEST(ReactorTest, StopReturnsPromptlyWithIdleKeepAliveConnections) {
   TcpServer server;
-  ASSERT_TRUE(server.Start(EchoHandler(), 0, Options()).ok());
+  ASSERT_TRUE(server.Start(EchoHandler(), 0).ok());
 
   // One connection that completed a keep-alive exchange, one that never
   // sent a byte — both sit idle in the server.
@@ -135,7 +111,7 @@ TEST_P(ReactorTest, StopReturnsPromptlyWithIdleKeepAliveConnections) {
   ::close(silent);
 }
 
-TEST_P(ReactorTest, StopDuringInflightRequestDoesNotHangOrCrash) {
+TEST(ReactorTest, StopDuringInflightRequestDoesNotHangOrCrash) {
   TcpServer server;
   std::atomic<int> entered{0};
   ASSERT_TRUE(server
@@ -144,7 +120,7 @@ TEST_P(ReactorTest, StopDuringInflightRequestDoesNotHangOrCrash) {
                     std::this_thread::sleep_for(std::chrono::milliseconds(150));
                     return MakeTextResponse(200, "slow");
                   },
-                  0, Options())
+                  0)
                   .ok());
   std::vector<std::thread> clients;
   std::atomic<int> finished{0};
@@ -171,16 +147,9 @@ TEST_P(ReactorTest, StopDuringInflightRequestDoesNotHangOrCrash) {
 // Seed bug: AcceptLoop() `continue`d on every accept() failure, so a
 // persistent EMFILE spun the accept thread at 100% CPU. The reactor must
 // back off (bounded failure count) and recover once fds free up.
-TEST_P(ReactorTest, AcceptBackoffUnderFdExhaustionAndRecovery) {
-  if (GetParam() == IoBackendKind::kUring) {
-    // Multishot accept runs in kernel context and (verified on this kernel)
-    // installs the accepted fd without charging RLIMIT_NOFILE, so the EMFILE
-    // window this test engineers never opens: the "unacceptable" connection
-    // is simply accepted. EMFILE backoff is a readiness-accept behavior.
-    GTEST_SKIP() << "io_uring accepts in-kernel; EMFILE backoff does not apply";
-  }
+TEST(ReactorTest, AcceptBackoffUnderFdExhaustionAndRecovery) {
   TcpServer server;
-  ASSERT_TRUE(server.Start(EchoHandler(), 0, Options()).ok());
+  ASSERT_TRUE(server.Start(EchoHandler(), 0).ok());
 
   // Client socket first — once the fd table is full we cannot make one.
   const int client = ConnectLoopback(server.port());
@@ -236,8 +205,8 @@ TEST_P(ReactorTest, AcceptBackoffUnderFdExhaustionAndRecovery) {
 
 // ------------------------------------------------------- request limits ---
 
-TEST_P(ReactorTest, OversizedHeaderBlockGets431AndClose) {
-  ServerOptions options = Options();
+TEST(ReactorTest, OversizedHeaderBlockGets431AndClose) {
+  ServerOptions options;
   options.max_header_bytes = 1024;
   TcpServer server;
   ASSERT_TRUE(server.Start(EchoHandler(), 0, options).ok());
@@ -259,8 +228,8 @@ TEST_P(ReactorTest, OversizedHeaderBlockGets431AndClose) {
 
 // A client streaming header bytes forever (no terminator) used to grow the
 // parser buffer without bound; now the cap trips mid-stream.
-TEST_P(ReactorTest, EndlessHeaderStreamIsCappedNotBuffered) {
-  ServerOptions options = Options();
+TEST(ReactorTest, EndlessHeaderStreamIsCappedNotBuffered) {
+  ServerOptions options;
   options.max_header_bytes = 2048;
   TcpServer server;
   ASSERT_TRUE(server.Start(EchoHandler(), 0, options).ok());
@@ -279,8 +248,8 @@ TEST_P(ReactorTest, EndlessHeaderStreamIsCappedNotBuffered) {
   server.Stop();
 }
 
-TEST_P(ReactorTest, OversizedBodyGets413BeforeBufferingIt) {
-  ServerOptions options = Options();
+TEST(ReactorTest, OversizedBodyGets413BeforeBufferingIt) {
+  ServerOptions options;
   options.max_body_bytes = 1024;
   TcpServer server;
   ASSERT_TRUE(server.Start(EchoHandler(), 0, options).ok());
@@ -298,8 +267,8 @@ TEST_P(ReactorTest, OversizedBodyGets413BeforeBufferingIt) {
   server.Stop();
 }
 
-TEST_P(ReactorTest, RequestExactlyAtBodyLimitIsServed) {
-  ServerOptions options = Options();
+TEST(ReactorTest, RequestExactlyAtBodyLimitIsServed) {
+  ServerOptions options;
   options.max_body_bytes = 1024;
   TcpServer server;
   std::atomic<std::size_t> seen_body{0};
@@ -323,7 +292,7 @@ TEST_P(ReactorTest, RequestExactlyAtBodyLimitIsServed) {
 }
 
 // Parser-level exactness: the caps are inclusive (== limit passes).
-TEST_P(ReactorTest, WireParserLimitBoundariesAreExact) {
+TEST(ReactorTest, WireParserLimitBoundariesAreExact) {
   Request request = MakeRequest(Method::kGet, "/x");
   const std::string wire = SerializeRequest(request);
   const std::size_t header_bytes = wire.size();  // no body: whole thing is header
@@ -359,7 +328,7 @@ TEST_P(ReactorTest, WireParserLimitBoundariesAreExact) {
 // Seed bug: after a broken parse the connection kept its buffered bytes and
 // close_after was only computed on the success path. The reactor must send
 // one 400 with Connection: close and discard everything after the garbage.
-TEST_P(ReactorTest, PipelinedGarbageAfterValidRequestDiscardsConnection) {
+TEST(ReactorTest, PipelinedGarbageAfterValidRequestDiscardsConnection) {
   TcpServer server;
   std::atomic<int> served{0};
   ASSERT_TRUE(server
@@ -367,7 +336,7 @@ TEST_P(ReactorTest, PipelinedGarbageAfterValidRequestDiscardsConnection) {
                     served.fetch_add(1);
                     return MakeTextResponse(200, "r:" + request.path);
                   },
-                  0, Options())
+                  0)
                   .ok());
   const int fd = ConnectLoopback(server.port());
   Request good = MakeRequest(Method::kGet, "/good");
@@ -399,9 +368,9 @@ TEST_P(ReactorTest, PipelinedGarbageAfterValidRequestDiscardsConnection) {
 
 // --------------------------------------------------- pipelining + reads ---
 
-TEST_P(ReactorTest, TwoRequestsInOneSendAreServedInOrder) {
+TEST(ReactorTest, TwoRequestsInOneSendAreServedInOrder) {
   TcpServer server;
-  ASSERT_TRUE(server.Start(EchoHandler(), 0, Options()).ok());
+  ASSERT_TRUE(server.Start(EchoHandler(), 0).ok());
   const int fd = ConnectLoopback(server.port());
   Request a = MakeRequest(Method::kGet, "/a");
   a.headers.Set("Connection", "keep-alive");
@@ -415,13 +384,13 @@ TEST_P(ReactorTest, TwoRequestsInOneSendAreServedInOrder) {
   server.Stop();
 }
 
-TEST_P(ReactorTest, ResponseSplitAcrossManySmallReadsParses) {
+TEST(ReactorTest, ResponseSplitAcrossManySmallReadsParses) {
   TcpServer server;
   ASSERT_TRUE(server
                   .Start([](const Request&) {
                     return MakeTextResponse(200, std::string(8192, 'x'));
                   },
-                  0, Options())
+                  0)
                   .ok());
   const int fd = ConnectLoopback(server.port());
   SendAll(fd, SerializeRequest(MakeRequest(Method::kGet, "/big")));
@@ -433,9 +402,9 @@ TEST_P(ReactorTest, ResponseSplitAcrossManySmallReadsParses) {
   server.Stop();
 }
 
-TEST_P(ReactorTest, KeepAliveServes100SequentialRequestsOnOneFd) {
+TEST(ReactorTest, KeepAliveServes100SequentialRequestsOnOneFd) {
   TcpServer server;
-  ASSERT_TRUE(server.Start(EchoHandler(), 0, Options()).ok());
+  ASSERT_TRUE(server.Start(EchoHandler(), 0).ok());
   const int fd = ConnectLoopback(server.port());
   for (int i = 0; i < 100; ++i) {
     Request request = MakeRequest(Method::kGet, "/seq/" + std::to_string(i));
@@ -454,9 +423,9 @@ TEST_P(ReactorTest, KeepAliveServes100SequentialRequestsOnOneFd) {
 
 // ---------------------------------------------------- client-side pool ---
 
-TEST_P(ReactorTest, TcpClientPoolReusesOneConnection) {
+TEST(ReactorTest, TcpClientPoolReusesOneConnection) {
   TcpServer server;
-  ASSERT_TRUE(server.Start(EchoHandler(), 0, Options()).ok());
+  ASSERT_TRUE(server.Start(EchoHandler(), 0).ok());
   TcpClient client(server.port());
   for (int i = 0; i < 100; ++i) {
     auto response = client.Get("/p/" + std::to_string(i));
@@ -469,8 +438,8 @@ TEST_P(ReactorTest, TcpClientPoolReusesOneConnection) {
   server.Stop();
 }
 
-TEST_P(ReactorTest, TcpClientRetriesOnceOnStalePooledConnection) {
-  ServerOptions options = Options();
+TEST(ReactorTest, TcpClientRetriesOnceOnStalePooledConnection) {
+  ServerOptions options;
   options.idle_timeout_ms = 50;  // server reaps the pooled fd between calls
   TcpServer server;
   ASSERT_TRUE(server.Start(EchoHandler(), 0, options).ok());
@@ -490,8 +459,8 @@ TEST_P(ReactorTest, TcpClientRetriesOnceOnStalePooledConnection) {
   server.Stop();
 }
 
-TEST_P(ReactorTest, MaxRequestsPerConnectionForcesClose) {
-  ServerOptions options = Options();
+TEST(ReactorTest, MaxRequestsPerConnectionForcesClose) {
+  ServerOptions options;
   options.max_requests_per_connection = 2;
   TcpServer server;
   ASSERT_TRUE(server.Start(EchoHandler(), 0, options).ok());
@@ -512,8 +481,8 @@ TEST_P(ReactorTest, MaxRequestsPerConnectionForcesClose) {
   server.Stop();
 }
 
-TEST_P(ReactorTest, IdleConnectionsAreReaped) {
-  ServerOptions options = Options();
+TEST(ReactorTest, IdleConnectionsAreReaped) {
+  ServerOptions options;
   options.idle_timeout_ms = 50;
   TcpServer server;
   ASSERT_TRUE(server.Start(EchoHandler(), 0, options).ok());
@@ -527,8 +496,8 @@ TEST_P(ReactorTest, IdleConnectionsAreReaped) {
   server.Stop();
 }
 
-TEST_P(ReactorTest, WorkerQueueFullAnswers503RetryAfter) {
-  ServerOptions options = Options();
+TEST(ReactorTest, WorkerQueueFullAnswers503RetryAfter) {
+  ServerOptions options;
   options.workers = 1;
   options.max_queued_requests = 1;
   TcpServer server;
@@ -575,8 +544,8 @@ TEST_P(ReactorTest, WorkerQueueFullAnswers503RetryAfter) {
 // Regression for the hardcoded "Retry-After: 1": the overload hint must
 // scale with the backlog, so clients shed behind a deep queue are told to
 // come back later than clients shed behind a shallow one.
-TEST_P(ReactorTest, OverloadRetryAfterScalesWithQueueDepth) {
-  ServerOptions options = Options();
+TEST(ReactorTest, OverloadRetryAfterScalesWithQueueDepth) {
+  ServerOptions options;
   options.workers = 1;
   options.max_queued_requests = 150;
   options.max_connections = 400;
@@ -626,8 +595,8 @@ TEST_P(ReactorTest, OverloadRetryAfterScalesWithQueueDepth) {
 // End-to-end token-bucket admission: a tenant over its rate gets 429 with a
 // Retry-After derived from refill time — and successive rejections quote
 // non-decreasing (and eventually growing) waits, never one constant.
-TEST_P(ReactorTest, QosRateLimitBreachAnswers429WithDerivedRetryAfter) {
-  ServerOptions options = Options();
+TEST(ReactorTest, QosRateLimitBreachAnswers429WithDerivedRetryAfter) {
+  ServerOptions options;
   options.tenant_classifier = [](const Request& request) {
     qos::TenantSpec spec;
     spec.id = request.headers.GetOr("X-Tenant", "default");
@@ -679,8 +648,8 @@ TEST_P(ReactorTest, QosRateLimitBreachAnswers429WithDerivedRetryAfter) {
 
 // With the classifier installed, requests flow through the DRR scheduler:
 // every request from every tenant still completes (no starvation, no loss).
-TEST_P(ReactorTest, QosSchedulerCompletesAllTenantsRequests) {
-  ServerOptions options = Options();
+TEST(ReactorTest, QosSchedulerCompletesAllTenantsRequests) {
+  ServerOptions options;
   options.workers = 2;
   options.tenant_classifier = [](const Request& request) {
     qos::TenantSpec spec;
@@ -715,14 +684,14 @@ TEST_P(ReactorTest, QosSchedulerCompletesAllTenantsRequests) {
 
 // A half-closed client (shutdown(SHUT_WR) after the request) still gets its
 // response: EOF while a request is in flight must not kill the connection.
-TEST_P(ReactorTest, HalfCloseAfterRequestStillGetsResponse) {
+TEST(ReactorTest, HalfCloseAfterRequestStillGetsResponse) {
   TcpServer server;
   ASSERT_TRUE(server
                   .Start([](const Request&) {
                     std::this_thread::sleep_for(std::chrono::milliseconds(30));
                     return MakeTextResponse(200, "late");
                   },
-                  0, Options())
+                  0)
                   .ok());
   const int fd = ConnectLoopback(server.port());
   SendAll(fd, SerializeRequest(MakeRequest(Method::kGet, "/halfclose")));
@@ -734,9 +703,9 @@ TEST_P(ReactorTest, HalfCloseAfterRequestStillGetsResponse) {
   server.Stop();
 }
 
-TEST_P(ReactorTest, ConcurrentKeepAliveClientsUnderChurn) {
+TEST(ReactorTest, ConcurrentKeepAliveClientsUnderChurn) {
   TcpServer server;
-  ASSERT_TRUE(server.Start(EchoHandler(), 0, Options()).ok());
+  ASSERT_TRUE(server.Start(EchoHandler(), 0).ok());
   std::vector<std::thread> threads;
   std::atomic<int> successes{0};
   for (int t = 0; t < 8; ++t) {

@@ -10,7 +10,6 @@
 #include <thread>
 
 #include "http/message.hpp"
-#include "http/router.hpp"
 #include "http/server.hpp"
 #include "http/uri.hpp"
 #include "http/wire.hpp"
@@ -111,78 +110,6 @@ TEST(UriTest, QueryWithoutValue) {
 TEST(UriTest, EncodedFilterDecodes) {
   const ParsedUri uri = ParseUriTarget("/c?$filter=Name%20eq%20%27n1%27");
   EXPECT_EQ(uri.query.at("$filter"), "Name eq 'n1'");
-}
-
-// ---------------------------------------------------------------- Router ---
-
-Router MakeTestRouter() {
-  Router router;
-  router.Route(Method::kGet, "/redfish/v1", [](const Request&, const PathParams&) {
-    return MakeTextResponse(200, "root");
-  });
-  router.Route(Method::kGet, "/redfish/v1/Systems/{id}",
-               [](const Request&, const PathParams& params) {
-                 return MakeTextResponse(200, "system:" + params.at("id"));
-               });
-  router.Route(Method::kGet, "/redfish/v1/Systems/special",
-               [](const Request&, const PathParams&) {
-                 return MakeTextResponse(200, "special");
-               });
-  router.Route(Method::kPatch, "/redfish/v1/Systems/{id}",
-               [](const Request&, const PathParams& params) {
-                 return MakeTextResponse(200, "patched:" + params.at("id"));
-               });
-  router.Route(Method::kGet, "/redfish/v1/Fabrics/{fid}/Endpoints/{eid}",
-               [](const Request&, const PathParams& params) {
-                 return MakeTextResponse(200, params.at("fid") + "/" + params.at("eid"));
-               });
-  return router;
-}
-
-TEST(RouterTest, ExactAndParamMatches) {
-  const Router router = MakeTestRouter();
-  EXPECT_EQ(router.Dispatch(MakeRequest(Method::kGet, "/redfish/v1")).body, "root");
-  EXPECT_EQ(router.Dispatch(MakeRequest(Method::kGet, "/redfish/v1/Systems/abc")).body,
-            "system:abc");
-  EXPECT_EQ(router.Dispatch(MakeRequest(Method::kGet, "/redfish/v1/Fabrics/f1/Endpoints/e2")).body,
-            "f1/e2");
-}
-
-TEST(RouterTest, LiteralBeatsParam) {
-  const Router router = MakeTestRouter();
-  EXPECT_EQ(router.Dispatch(MakeRequest(Method::kGet, "/redfish/v1/Systems/special")).body,
-            "special");
-}
-
-TEST(RouterTest, TrailingSlashNormalized) {
-  const Router router = MakeTestRouter();
-  EXPECT_EQ(router.Dispatch(MakeRequest(Method::kGet, "/redfish/v1/")).body, "root");
-}
-
-TEST(RouterTest, NotFoundVersusMethodNotAllowed) {
-  const Router router = MakeTestRouter();
-  EXPECT_EQ(router.Dispatch(MakeRequest(Method::kGet, "/nope")).status, 404);
-  const Response r405 = router.Dispatch(MakeRequest(Method::kDelete, "/redfish/v1/Systems/x"));
-  EXPECT_EQ(r405.status, 405);
-  EXPECT_EQ(r405.headers.Get("Allow"), "GET, PATCH");
-}
-
-TEST(RouterTest, LaterRegistrationOverrides) {
-  Router router;
-  router.Route(Method::kGet, "/a", [](const Request&, const PathParams&) {
-    return MakeTextResponse(200, "one");
-  });
-  router.Route(Method::kGet, "/a", [](const Request&, const PathParams&) {
-    return MakeTextResponse(200, "two");
-  });
-  EXPECT_EQ(router.route_count(), 1u);
-  EXPECT_EQ(router.Dispatch(MakeRequest(Method::kGet, "/a")).body, "two");
-}
-
-TEST(RouterTest, MatchesProbe) {
-  const Router router = MakeTestRouter();
-  EXPECT_TRUE(router.Matches("/redfish/v1/Systems/anything"));
-  EXPECT_FALSE(router.Matches("/other"));
 }
 
 // ------------------------------------------------------------------ Wire ---
