@@ -4,6 +4,7 @@
 // round trips, and a whole in-process OFMF GET.
 #include <benchmark/benchmark.h>
 
+#include "common/rng.hpp"
 #include "http/server.hpp"
 #include "http/wire.hpp"
 #include "json/merge_patch.hpp"
@@ -51,6 +52,57 @@ void BM_JsonSerialize(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_JsonSerialize);
+
+// The shape of a shard's OfmfService.MetricsDump, which the federation router
+// parses and re-serializes on every fleet scrape: per histogram four doubles
+// (Mean/P50/P95/P99) and 40 log2 bucket counts, then a flat counter list.
+Json MetricsDumpShaped() {
+  Rng rng(13);
+  json::Array histograms;
+  for (int h = 0; h < 64; ++h) {
+    json::Array buckets(40);
+    for (Json& bucket : buckets) bucket = static_cast<std::int64_t>(rng.UniformInt(0, 1u << 20));
+    const double mean = rng.LogNormal(5.0, 1.5);
+    histograms.push_back(Json::Obj({{"Name", "ofmf.handle_us.stage" + std::to_string(h)},
+                                    {"Count", static_cast<std::int64_t>(rng.UniformInt(1, 1u << 24))},
+                                    {"Sum", static_cast<std::int64_t>(rng.NextU64() >> 20)},
+                                    {"Mean", mean},
+                                    {"P50", mean * 0.8},
+                                    {"P95", mean * 3.1},
+                                    {"P99", mean * 7.3},
+                                    {"Buckets", Json(std::move(buckets))}}));
+  }
+  json::Array counters;
+  for (int c = 0; c < 64; ++c) {
+    counters.push_back(Json::Obj({{"Name", "http.shard.counter" + std::to_string(c)},
+                                  {"Value", static_cast<std::int64_t>(rng.NextU64() >> 24)}}));
+  }
+  return Json::Obj({{"ShardId", "shard-0"},
+                    {"Histograms", Json(std::move(histograms))},
+                    {"Counters", Json(std::move(counters))},
+                    {"ResponseCache", Json::Obj({{"Hits", 1234567}, {"HitRate", 0.987654321}})}});
+}
+
+void BM_JsonParseMetricsDump(benchmark::State& state) {
+  const std::string text = json::Serialize(MetricsDumpShaped());
+  for (auto _ : state) {
+    auto doc = json::Parse(text);
+    benchmark::DoNotOptimize(doc);
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations() * text.size()));
+}
+BENCHMARK(BM_JsonParseMetricsDump);
+
+void BM_JsonSerializeMetricsDump(benchmark::State& state) {
+  const Json doc = MetricsDumpShaped();
+  const std::size_t size = json::Serialize(doc).size();
+  for (auto _ : state) {
+    std::string out = json::Serialize(doc);
+    benchmark::DoNotOptimize(out);
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations() * size));
+}
+BENCHMARK(BM_JsonSerializeMetricsDump);
 
 void BM_JsonPointerResolve(benchmark::State& state) {
   const Json doc = *json::Parse(kEndpointPayload);

@@ -532,12 +532,13 @@ http::Response FederationRouter::AggregateCollection(const http::Request& reques
     ++ok_pages;
     total += page.count;
     if (!page.have_doc) continue;
-    if (merged.is_null()) merged = page.doc;  // envelope template (copy)
     if (page.doc.is_object() && page.doc.at("Members").is_array()) {
       for (json::Json& member : page.doc["Members"].as_array()) {
         members.push_back(std::move(member));
       }
     }
+    // Envelope template; its emptied Members are replaced below.
+    if (merged.is_null()) merged = std::move(page.doc);
   }
   if (ok_pages == 0) {
     return redfish::ErrorResponse(

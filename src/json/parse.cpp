@@ -1,9 +1,9 @@
 #include "json/parse.hpp"
 
-#include <cctype>
 #include <charconv>
 #include <cmath>
 #include <cstdlib>
+#include <string>
 
 namespace ofmf::json {
 namespace {
@@ -28,6 +28,7 @@ class Parser {
   }
 
   bool AtEnd() const { return pos_ >= text_.size(); }
+  static bool IsDigit(char c) { return c >= '0' && c <= '9'; }
   char Peek() const { return text_[pos_]; }
 
   void SkipWhitespace() {
@@ -120,14 +121,18 @@ class Parser {
     Consume('"');
     std::string out;
     while (true) {
-      if (AtEnd()) return Error("unterminated string");
-      char c = text_[pos_++];
-      if (c == '"') break;
-      if (static_cast<unsigned char>(c) < 0x20) return Error("raw control character in string");
-      if (c != '\\') {
-        out.push_back(c);
-        continue;
+      // Characters that need no decoding are appended a run at a time.
+      const std::size_t run = pos_;
+      while (!AtEnd()) {
+        const unsigned char c = static_cast<unsigned char>(Peek());
+        if (c == '"' || c == '\\' || c < 0x20) break;
+        ++pos_;
       }
+      out.append(text_.data() + run, pos_ - run);
+      if (AtEnd()) return Error("unterminated string");
+      const char c = text_[pos_++];
+      if (c == '"') break;
+      if (c != '\\') return Error("raw control character in string");
       if (AtEnd()) return Error("unterminated escape");
       const char esc = text_[pos_++];
       switch (esc) {
@@ -194,35 +199,35 @@ class Parser {
   Result<Json> ParseNumber() {
     const std::size_t start = pos_;
     if (!AtEnd() && Peek() == '-') ++pos_;
-    if (AtEnd() || !std::isdigit(static_cast<unsigned char>(Peek()))) {
+    if (AtEnd() || !IsDigit(Peek())) {
       return Error("invalid number");
     }
     // Leading zero rule: "0" alone or "0." is fine, "01" is not.
     if (Peek() == '0') {
       ++pos_;
-      if (!AtEnd() && std::isdigit(static_cast<unsigned char>(Peek()))) {
+      if (!AtEnd() && IsDigit(Peek())) {
         return Error("leading zero in number");
       }
     } else {
-      while (!AtEnd() && std::isdigit(static_cast<unsigned char>(Peek()))) ++pos_;
+      while (!AtEnd() && IsDigit(Peek())) ++pos_;
     }
     bool is_integer = true;
     if (!AtEnd() && Peek() == '.') {
       is_integer = false;
       ++pos_;
-      if (AtEnd() || !std::isdigit(static_cast<unsigned char>(Peek()))) {
+      if (AtEnd() || !IsDigit(Peek())) {
         return Error("digit required after decimal point");
       }
-      while (!AtEnd() && std::isdigit(static_cast<unsigned char>(Peek()))) ++pos_;
+      while (!AtEnd() && IsDigit(Peek())) ++pos_;
     }
     if (!AtEnd() && (Peek() == 'e' || Peek() == 'E')) {
       is_integer = false;
       ++pos_;
       if (!AtEnd() && (Peek() == '+' || Peek() == '-')) ++pos_;
-      if (AtEnd() || !std::isdigit(static_cast<unsigned char>(Peek()))) {
+      if (AtEnd() || !IsDigit(Peek())) {
         return Error("digit required in exponent");
       }
-      while (!AtEnd() && std::isdigit(static_cast<unsigned char>(Peek()))) ++pos_;
+      while (!AtEnd() && IsDigit(Peek())) ++pos_;
     }
     const std::string_view token = text_.substr(start, pos_ - start);
     if (is_integer) {
@@ -234,7 +239,17 @@ class Parser {
       }
       // Fall through: out-of-range integers become doubles.
     }
-    const double value = std::strtod(std::string(token).c_str(), nullptr);
+    double value = 0.0;
+    const auto [ptr, ec] =
+        std::from_chars(token.data(), token.data() + token.size(), value);
+    if (ec == std::errc::result_out_of_range) {
+      // from_chars reports underflow and overflow alike and leaves `value`
+      // unset. strtod tells them apart: underflow rounds toward zero (1e-400
+      // parses as 0.0), overflow gives infinity, which is rejected below.
+      value = std::strtod(std::string(token).c_str(), nullptr);
+    } else if (ec != std::errc() || ptr != token.data() + token.size()) {
+      return Error("invalid number");
+    }
     if (std::isinf(value)) return Error("number out of range");
     return Json(value);
   }

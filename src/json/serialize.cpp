@@ -1,14 +1,22 @@
 #include "json/serialize.hpp"
 
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 
 namespace ofmf::json {
 namespace {
 
+constexpr char kHexDigits[] = "0123456789abcdef";
+
 void AppendEscaped(std::string& out, std::string_view s) {
   out.push_back('"');
-  for (char c : s) {
+  // Characters that need no escape are appended a run at a time.
+  std::size_t run = 0;
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const unsigned char c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out.append(s.data() + run, i - run);
+    run = i + 1;
     switch (c) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
@@ -17,35 +25,36 @@ void AppendEscaped(std::string& out, std::string_view s) {
       case '\n': out += "\\n"; break;
       case '\r': out += "\\r"; break;
       case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x", c);
-          out += buffer;
-        } else {
-          out.push_back(c);
-        }
+      default: {
+        const char escape[] = {'\\', 'u', '0', '0', kHexDigits[c >> 4], kHexDigits[c & 0xF]};
+        out.append(escape, sizeof(escape));
+      }
     }
   }
+  out.append(s.data() + run, s.size() - run);
   out.push_back('"');
 }
 
+void AppendInt(std::string& out, std::int64_t v) {
+  char buffer[24];  // "-9223372036854775808" is 20 characters
+  const std::to_chars_result written = std::to_chars(buffer, buffer + sizeof(buffer), v);
+  out.append(buffer, written.ptr);
+}
+
 void AppendDouble(std::string& out, double v) {
-  if (std::isnan(v) || std::isinf(v)) {
+  if (!std::isfinite(v)) {
     // JSON has no NaN/Inf; emit null (matches common tooling behaviour).
     out += "null";
     return;
   }
+  // Shortest form that parses back to the same bits; never longer than
+  // "-2.2250738585072014e-308" (24 characters).
   char buffer[32];
-  // %.17g round-trips doubles; trim to shortest form that re-parses equal.
-  for (int precision : {15, 16, 17}) {
-    std::snprintf(buffer, sizeof(buffer), "%.*g", precision, v);
-    if (std::strtod(buffer, nullptr) == v) break;
-  }
-  out += buffer;
+  const std::to_chars_result written = std::to_chars(buffer, buffer + sizeof(buffer), v);
+  const std::string_view text(buffer, static_cast<std::size_t>(written.ptr - buffer));
+  out += text;
   // Ensure a serialized double re-parses as a double, not an int.
-  std::string_view written(buffer);
-  if (written.find_first_of(".eE") == std::string_view::npos) out += ".0";
+  if (text.find_first_of(".e") == std::string_view::npos) out += ".0";
 }
 
 void Write(const Json& value, std::string& out, int indent, int depth) {
@@ -58,7 +67,7 @@ void Write(const Json& value, std::string& out, int indent, int depth) {
   switch (value.type()) {
     case Type::kNull: out += "null"; break;
     case Type::kBool: out += value.as_bool() ? "true" : "false"; break;
-    case Type::kInt: out += std::to_string(value.as_int()); break;
+    case Type::kInt: AppendInt(out, value.as_int()); break;
     case Type::kDouble: AppendDouble(out, value.as_double()); break;
     case Type::kString: AppendEscaped(out, value.as_string()); break;
     case Type::kArray: {

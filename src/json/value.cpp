@@ -60,9 +60,9 @@ const char* to_string(Type t) {
   return "?";
 }
 
-Json Json::Obj(std::initializer_list<Member> members) {
+Json Json::Obj(std::initializer_list<Field> fields) {
   Object o;
-  for (const Member& m : members) o.Set(m.first, m.second);
+  for (const Field& f : fields) o.Set(f.key, std::move(f.value));
   return Json(std::move(o));
 }
 

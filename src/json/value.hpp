@@ -15,6 +15,7 @@
 namespace ofmf::json {
 
 class Json;
+struct Field;
 
 using Array = std::vector<Json>;
 using Member = std::pair<std::string, Json>;
@@ -67,7 +68,9 @@ class Json {
   static Json MakeObject() { return Json(Object{}); }
   static Json MakeArray() { return Json(Array{}); }
   /// Builds an object from key/value pairs: Json::Obj({{"a", 1}, {"b", "x"}}).
-  static Json Obj(std::initializer_list<Member> members);
+  /// Each value is moved out of the list (see Field), so a list must not be
+  /// passed to Obj twice.
+  static Json Obj(std::initializer_list<Field> fields);
   static Json Arr(std::initializer_list<Json> items);
 
   Type type() const;
@@ -106,6 +109,15 @@ class Json {
 
  private:
   std::variant<std::nullptr_t, bool, std::int64_t, double, std::string, Array, Object> data_;
+};
+
+/// One Json::Obj initializer. An initializer_list only hands out const
+/// elements; `mutable` lets Obj move each value into the object instead of
+/// deep-copying it, so `{"Histograms", Json(std::move(histograms))}` costs no
+/// copy of the array.
+struct Field {
+  std::string key;
+  mutable Json value;
 };
 
 /// The canonical shared null (returned by at() for missing members).

@@ -1,6 +1,15 @@
 #include <gmock/gmock.h>
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cfloat>
+#include <cmath>
+#include <limits>
+#include <string>
+#include <string_view>
+#include <vector>
+
 #include "common/rng.hpp"
 #include "json/merge_patch.hpp"
 #include "json/parse.hpp"
@@ -60,6 +69,17 @@ TEST(ValueTest, IndexOperatorInsertsNull) {
   Json obj = Json::MakeObject();
   obj["new"] = "value";
   EXPECT_EQ(obj.at("new").as_string(), "value");
+}
+
+TEST(ValueTest, ObjMovesValuesInsteadOfCopying) {
+  Array big(1000, Json(7));
+  const Json* const elements = big.data();
+  const Json doc = Json::Obj({{"Name", "dump"}, {"Histograms", Json(std::move(big))}});
+  // The object owns the very buffer the caller built: no deep copy was made.
+  EXPECT_EQ(doc.at("Histograms").as_array().data(), elements);
+  EXPECT_EQ(doc.at("Histograms").as_array().size(), 1000u);
+  // Later duplicates still overwrite earlier ones.
+  EXPECT_EQ(Json::Obj({{"a", 1}, {"a", 2}}), Json::Obj({{"a", 2}}));
 }
 
 TEST(ValueTest, GettersWithFallback) {
@@ -185,6 +205,52 @@ TEST(SerializeTest, NanAndInfBecomeNull) {
   EXPECT_EQ(Serialize(Json(std::numeric_limits<double>::infinity())), "null");
 }
 
+// Parse(Serialize(x)) must give back x's exact bits, as a double, for every
+// finite double: the shortest form the serializer writes has to round-trip.
+void ExpectBitExactRoundTrip(double v) {
+  const std::string s = Serialize(Json(v));
+  auto parsed = Parse(s);
+  ASSERT_TRUE(parsed.ok()) << s;
+  ASSERT_TRUE(parsed->is_double()) << s;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(parsed->as_double()), std::bit_cast<std::uint64_t>(v))
+      << s;
+}
+
+TEST(SerializeTest, DoublesRoundTripBitExact) {
+  for (double v : {0.0, -0.0, 5e-324, -5e-324, DBL_MIN, DBL_MAX, -DBL_MAX, 0.1, 1.0 / 3.0, 1e-5,
+                   1e21, 9007199254740993.0 /* 2^53+1, rounds to 2^53 */, 100.0, -2.0,
+                   123456789012345680.0}) {
+    ExpectBitExactRoundTrip(v);
+  }
+  Rng rng(20230515);
+  for (int i = 0; i < 20000; ++i) {
+    const double v = std::bit_cast<double>(rng.NextU64());
+    if (!std::isfinite(v)) continue;  // NaN and Inf serialize as null
+    ExpectBitExactRoundTrip(v);
+  }
+}
+
+TEST(SerializeTest, WholeDoublesKeepTheirFraction) {
+  EXPECT_EQ(Serialize(Json(100.0)), "100.0");
+  EXPECT_EQ(Serialize(Json(-0.0)), "-0.0");
+  EXPECT_EQ(Serialize(Json(1e21)), "1e+21");
+}
+
+TEST(ParseTest, OutOfRangeNumbers) {
+  // Underflow rounds to zero, as strtod does; overflow is an error.
+  auto tiny = Parse("1e-400");
+  ASSERT_TRUE(tiny.ok());
+  EXPECT_TRUE(tiny->is_double());
+  EXPECT_EQ(tiny->as_double(), 0.0);
+  for (const char* huge : {"1e400", "-1e400", "[1.5e999]"}) {
+    auto result = Parse(huge);
+    EXPECT_FALSE(result.ok()) << huge;
+    EXPECT_EQ(result.status().code(), ErrorCode::kInvalidArgument) << huge;
+  }
+  // Subnormals are in range and keep their value.
+  EXPECT_EQ(Parse("4.9406564584124654e-324")->as_double(), 5e-324);
+}
+
 TEST(SerializeTest, PrettyIsIndentedAndReparses) {
   const Json doc = Json::Obj({{"a", Json::Arr({1, 2})}, {"b", Json::Obj({{"c", true}})}});
   const std::string pretty = SerializePretty(doc);
@@ -197,6 +263,12 @@ TEST(SerializeTest, PrettyIsIndentedAndReparses) {
 TEST(SerializeTest, ControlCharsEscaped) {
   EXPECT_EQ(Serialize(Json(std::string("\x01"))), "\"\\u0001\"");
   EXPECT_EQ(QuoteString("tab\there"), "\"tab\\there\"");
+}
+
+TEST(SerializeTest, OnlyControlsQuoteAndBackslashAreEscaped) {
+  // Plain runs around an escape are copied whole; DEL and UTF-8 pass as is.
+  EXPECT_EQ(Serialize(Json(std::string("ab\x1f\x7f\xC3\xA9\"cd\\"))),
+            "\"ab\\u001f\x7f\xC3\xA9\\\"cd\\\\\"");
 }
 
 // Property: random documents round-trip byte-compare after one normalization.
@@ -247,6 +319,137 @@ TEST_P(JsonRoundTrip, SerializeParseSerializeIsStable) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, JsonRoundTrip, ::testing::Range(1, 9));
+
+// ------------------------------------------------------------------ Fuzz ---
+// Seeded mutation fuzzing of Parse, which every request body and every shard
+// MetricsDump goes through. A fixed number of mutants per seed keeps the run
+// short enough for tier-1; sanitizer builds turn any UB into a failure.
+
+// Level of the deepest value; the top-level value is level 0.
+std::size_t NestingLevel(const Json& v) {
+  std::size_t deepest = 0;
+  if (v.is_array()) {
+    for (const Json& item : v.as_array()) deepest = std::max(deepest, 1 + NestingLevel(item));
+  } else if (v.is_object()) {
+    for (const auto& [key, item] : v.as_object()) {
+      deepest = std::max(deepest, 1 + NestingLevel(item));
+    }
+  }
+  return deepest;
+}
+
+// The document shapes the OFMF parses most: a shard MetricsDump, a
+// collection page, a Compose body, and strings full of escapes.
+std::vector<std::string> FuzzCorpus() {
+  Array histograms;
+  for (int h = 0; h < 4; ++h) {
+    Array buckets(12);
+    for (int b = 0; b < 12; ++b) buckets[b] = Json(b * b * (h + 1));
+    histograms.push_back(Json::Obj({{"Name", "ofmf.handle_us.get" + std::to_string(h)},
+                                    {"Count", 144},
+                                    {"Sum", 98765},
+                                    {"Mean", 685.868},
+                                    {"P50", 512.0},
+                                    {"P95", 3e3},
+                                    {"P99", 1.25e-3},
+                                    {"Buckets", Json(std::move(buckets))}}));
+  }
+  const Json dump = Json::Obj(
+      {{"ShardId", "shard-1"},
+       {"Histograms", Json(std::move(histograms))},
+       {"Counters", Json::Arr({Json::Obj({{"Name", "http.requests"}, {"Value", 4096}})})},
+       {"ResponseCache", Json::Obj({{"Hits", 10}, {"HitRate", 0.9090909090909091}})}});
+  return {
+      Serialize(dump),
+      R"({"@odata.id":"/redfish/v1/Fabrics/NVMeoF/Endpoints","Members@odata.count":2,)"
+      R"("Members":[{"@odata.id":"/redfish/v1/Fabrics/NVMeoF/Endpoints/e0"},)"
+      R"({"@odata.id":"/redfish/v1/Fabrics/NVMeoF/Endpoints/e1"}],)"
+      R"("@odata.nextLink":"/redfish/v1/Fabrics?$fedskip=shard-1:2"})",
+      R"({"Name":"bb-job-42","Links":{"ResourceBlocks":[)"
+      R"({"@odata.id":"/redfish/v1/CompositionService/ResourceBlocks/ssd-0"},)"
+      R"({"@odata.id":"/redfish/v1/CompositionService/ResourceBlocks/ssd-1"}]},)"
+      R"("Oem":{"Ofmf":{"Capacity":-1.5E+3,"Exclusive":true,"Tags":null}}})",
+      R"(["esc \" \\ \/ \b\f\n\r\t", "\u00e9\u4e2d\ud83d\ude00 é中😀", "\u0000\u001F", "",)"
+      R"( [[], {}], -0, 0.5e-3, 12345678901234567890])",
+  };
+}
+
+std::string Mutate(Rng& rng, const std::vector<std::string>& corpus, std::string text) {
+  static constexpr std::string_view kTokens = "{}[]:,\"\\/0123456789-+.eEtrufalsn u";
+  auto pos = [&](std::size_t size) { return static_cast<std::size_t>(rng.UniformInt(0, size)); };
+  const int edits = static_cast<int>(rng.UniformInt(1, 4));
+  for (int e = 0; e < edits; ++e) {
+    const std::size_t at = pos(text.size());
+    const char token = kTokens[rng.UniformInt(0, kTokens.size() - 1)];
+    switch (rng.UniformInt(0, 7)) {
+      case 0:  // flip one bit
+        if (at < text.size()) text[at] = static_cast<char>(text[at] ^ (1 << rng.UniformInt(0, 7)));
+        break;
+      case 1:  // overwrite with a JSON token character
+        if (at < text.size()) text[at] = token;
+        break;
+      case 2:  // insert a JSON token character
+        text.insert(at, 1, token);
+        break;
+      case 3:  // delete a short range
+        text.erase(at, rng.UniformInt(1, 8));
+        break;
+      case 4:  // duplicate a range elsewhere
+        text.insert(pos(text.size()), text.substr(at, rng.UniformInt(1, 32)));
+        break;
+      case 5:  // truncate
+        text.resize(at);
+        break;
+      case 6: {  // splice in a piece of another corpus document
+        const std::string& other = corpus[rng.UniformInt(0, corpus.size() - 1)];
+        const std::size_t from = pos(other.size());
+        text.replace(at, rng.UniformInt(0, 16), other.substr(from, rng.UniformInt(1, 64)));
+        break;
+      }
+      default:  // open a deep nest, to press on the depth cap
+        for (std::uint64_t n = rng.UniformInt(8, 40); n > 0; --n) {
+          text.insert(at, rng.Chance(0.5) ? "[" : "{\"k\":");
+        }
+    }
+  }
+  return text;
+}
+
+class ParseFuzz : public ::testing::TestWithParam<int> {};
+
+TEST_P(ParseFuzz, MutantsAreRejectedCleanlyOrRoundTrip) {
+  constexpr int kMutants = 20000;
+  ParseOptions options;
+  options.max_depth = 16;
+  const std::vector<std::string> corpus = FuzzCorpus();
+  for (const std::string& doc : corpus) ASSERT_TRUE(Parse(doc, options).ok()) << doc;
+  Rng rng(static_cast<std::uint64_t>(GetParam()) * 6700417);
+  int accepted = 0;
+  int depth_rejected = 0;
+  for (int i = 0; i < kMutants; ++i) {
+    const std::string text =
+        Mutate(rng, corpus, corpus[rng.UniformInt(0, corpus.size() - 1)]);
+    auto parsed = Parse(text, options);
+    if (!parsed.ok()) {
+      ASSERT_EQ(parsed.status().code(), ErrorCode::kInvalidArgument) << text;
+      if (parsed.status().message().find("depth") != std::string::npos) ++depth_rejected;
+      continue;
+    }
+    ++accepted;
+    ASSERT_LE(NestingLevel(*parsed), options.max_depth) << text;
+    const std::string once = Serialize(*parsed);
+    auto again = Parse(once, options);
+    ASSERT_TRUE(again.ok()) << text << " -> " << once;
+    ASSERT_EQ(*again, *parsed) << text << " -> " << once;
+    ASSERT_EQ(Serialize(*again), once) << text;
+  }
+  // Both sides of the parser were exercised, the depth cap included.
+  EXPECT_GT(accepted, kMutants / 50);
+  EXPECT_LT(accepted, kMutants / 2);
+  EXPECT_GT(depth_rejected, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ParseFuzz, ::testing::Range(1, 6));
 
 // --------------------------------------------------------------- Pointer ---
 
