@@ -2,59 +2,82 @@
 
 #include <algorithm>
 
+#include "odata/annotations.hpp"
+#include "ofmf/uris.hpp"
+#include "redfish/metric_report.hpp"
+
 namespace ofmf::federation {
 namespace {
 
-/// Rebuilds a Snapshot from a MetricsDump histogram entry. The count is
-/// derived from the buckets, never trusted from the wire, so a merge of
-/// already-merged dumps stays self-consistent.
-bool SnapshotFromJson(const json::Json& entry, metrics::Histogram::Snapshot* out) {
-  const json::Json& buckets = entry.at("Buckets");
-  if (!buckets.is_array()) return false;
-  const std::size_t n =
-      std::min<std::size_t>(buckets.as_array().size(), metrics::Histogram::kBuckets);
-  for (std::size_t i = 0; i < n; ++i) {
-    const json::Json& b = buckets.as_array()[i];
-    if (b.is_int()) out->buckets[i] = static_cast<std::uint64_t>(b.as_int());
+using redfish::Metric;
+
+/// A wire integer as a count. A negative value is a shard's bug, not a
+/// count: cast to uint64 it would add ~2^64 to a fleet total, so it adds 0.
+std::uint64_t WireCount(const json::Json& value) {
+  return value.is_int() && value.as_int() > 0 ? static_cast<std::uint64_t>(value.as_int())
+                                              : 0;
+}
+
+/// A rendered report with the @odata.id/@odata.type a tree would stamp.
+json::Json Served(const std::string& id, const std::string& name, json::Array values,
+                  json::Json oem = json::Json()) {
+  json::Json report = redfish::MetricReport(id, name, std::move(values), std::move(oem));
+  odata::Stamp(report, std::string(core::kMetricReports) + "/" + id,
+               "#MetricReport.v1_4_2.MetricReport", "");
+  return report;
+}
+
+redfish::ResponseCacheStats CacheStats(const FleetMetrics& fleet) {
+  const json::Json cache = fleet.Section("ResponseCache");
+  return {WireCount(cache.at("Hits")), WireCount(cache.at("Misses")),
+          WireCount(cache.at("Evictions")), WireCount(cache.at("Invalidations"))};
+}
+
+json::Json FleetRequestLatencyReport(const FleetMetrics& fleet) {
+  json::Array values;
+  for (const auto& [name, snap] : fleet.histograms()) {
+    redfish::AppendHistogramMetrics(name, snap, values);
   }
-  out->sum = static_cast<std::uint64_t>(entry.GetInt("Sum", 0));
-  out->count = out->DerivedCount();
-  return true;
+  for (const auto& [name, value] : fleet.counters()) values.push_back(Metric(name, value, "count"));
+  return Served("RequestLatency", "Fleet request latency and stage-timing histograms",
+                std::move(values));
 }
 
-/// Sums the integer-valued members of a dump section into scalars_ under
-/// "<section>.<field>". Rates and other doubles are skipped — they do not
-/// add; the report builders recompute them from the summed parts.
-void AbsorbSection(const json::Json& dump, const char* section,
-                   std::map<std::string, std::uint64_t>& scalars) {
-  const json::Json& obj = dump.at(section);
-  if (!obj.is_object()) return;
-  for (const json::Member& member : obj.as_object()) {
-    if (!member.second.is_int()) continue;
-    const std::int64_t value = member.second.as_int();
-    if (value < 0) continue;
-    scalars[std::string(section) + "." + member.first] +=
-        static_cast<std::uint64_t>(value);
+json::Json FleetResponseCacheReport(const FleetMetrics& fleet) {
+  json::Array values;
+  redfish::AppendCacheMetrics(CacheStats(fleet), "fleet read path", values);
+  return Served("ResponseCache", "Fleet read-path response cache counters", std::move(values));
+}
+
+json::Json FleetResilienceReport(const FleetMetrics& fleet) {
+  const json::Json totals = fleet.Section("Resilience");
+  json::Array values;
+  values.push_back(
+      Metric("ReplayedPosts", totals.GetInt("ReplayedPosts"), "idempotency replay cache"));
+  values.push_back(Metric("BreakersOpen", totals.GetInt("BreakersOpen"), "fleet breakers"));
+  values.push_back(Metric("BreakersTotal", totals.GetInt("BreakersTotal"), "fleet breakers"));
+  json::Array shards;
+  for (const auto& [shard_id, resilience] : fleet.shard_resilience()) {
+    json::Json entry = resilience;  // Breakers, BreakersOpen/Total, ReplayedPosts
+    entry.as_object().Erase("CacheHitRate");
+    entry.as_object().Set("ShardId", shard_id);
+    shards.push_back(std::move(entry));
   }
+  return Served("Resilience", "Fleet circuit breaker and retry counters", std::move(values),
+                json::Json::Obj({{"Shards", json::Json(std::move(shards))}}));
 }
 
-json::Json Metric(const std::string& id, double value, const std::string& property) {
-  return json::Json::Obj({{"MetricId", id},
-                          {"MetricValue", value},
-                          {"MetricProperty", property}});
+json::Json FleetEventDeliveryReport(const FleetMetrics& fleet) {
+  json::Array values;
+  redfish::AppendDeliveryTotals(fleet.Section("EventDelivery"), "fleet event delivery", values);
+  return Served("EventDelivery", "Fleet event fan-out delivery state", std::move(values));
 }
 
-json::Json ReportShell(const std::string& name, const std::string& title,
-                       json::Array values) {
-  return json::Json::Obj({
-      {"@odata.id", "/redfish/v1/TelemetryService/MetricReports/" + name},
-      {"@odata.type", "#MetricReport.v1_4_2.MetricReport"},
-      {"Id", name},
-      {"Name", title},
-      {"ReportSequence", 0},
-      {"MetricValues", json::Json(std::move(values))},
-  });
-}
+constexpr std::pair<const char*, FleetReportBuilder> kGatheredReports[] = {
+    {"RequestLatency", FleetRequestLatencyReport},
+    {"ResponseCache", FleetResponseCacheReport},
+    {"Resilience", FleetResilienceReport},
+    {"EventDelivery", FleetEventDeliveryReport}};
 
 }  // namespace
 
@@ -65,9 +88,16 @@ void FleetMetrics::Absorb(const std::string& shard_id, const json::Json& dump) {
   if (histograms.is_array()) {
     for (const json::Json& entry : histograms.as_array()) {
       const std::string name = entry.GetString("Name");
-      if (name.empty()) continue;
+      const json::Json& buckets = entry.at("Buckets");
+      if (name.empty() || !buckets.is_array()) continue;
+      // The count is derived from the buckets, never trusted from the wire,
+      // so a merge of already-merged dumps stays self-consistent.
       metrics::Histogram::Snapshot snap;
-      if (!SnapshotFromJson(entry, &snap)) continue;
+      const std::size_t n =
+          std::min<std::size_t>(buckets.as_array().size(), metrics::Histogram::kBuckets);
+      for (std::size_t i = 0; i < n; ++i) snap.buckets[i] = WireCount(buckets.as_array()[i]);
+      snap.sum = WireCount(entry.at("Sum"));
+      snap.count = snap.DerivedCount();
       histograms_[name].Merge(snap);
     }
   }
@@ -76,244 +106,106 @@ void FleetMetrics::Absorb(const std::string& shard_id, const json::Json& dump) {
     for (const json::Json& entry : counters.as_array()) {
       const std::string name = entry.GetString("Name");
       if (name.empty()) continue;
-      counters_[name] += static_cast<std::uint64_t>(entry.GetInt("Value", 0));
+      counters_[name] += WireCount(entry.at("Value"));
     }
   }
-  AbsorbSection(dump, "ResponseCache", scalars_);
-  AbsorbSection(dump, "Trace", scalars_);
-  AbsorbSection(dump, "EventDelivery", scalars_);
-  AbsorbSection(dump, "Resilience", scalars_);
+  // Every object section's integer fields add; rates and arrays do not.
+  for (const auto& [name, section] : dump.as_object()) {
+    if (!section.is_object()) continue;
+    json::Json& sums = sections_.try_emplace(name, json::Json::MakeObject()).first->second;
+    for (const auto& [field, value] : section.as_object()) {
+      if (value.is_int()) sums.as_object().Set(field, WireCount(sums.at(field)) + WireCount(value));
+    }
+  }
   const json::Json& resilience = dump.at("Resilience");
   if (resilience.is_object()) resilience_.emplace_back(shard_id, resilience);
 }
 
-std::uint64_t FleetMetrics::scalar(const std::string& key) const {
-  const auto it = scalars_.find(key);
-  return it == scalars_.end() ? 0 : it->second;
+json::Json FleetMetrics::Section(const std::string& name) const {
+  const auto it = sections_.find(name);
+  return it == sections_.end() ? json::Json::MakeObject() : it->second;
 }
 
 json::Json FleetMetrics::ToJson() const {
   json::Array histograms;
   for (const auto& [name, snap] : histograms_) {
-    // Pre-sized assignment, not push_back: GCC 12's -Wmaybe-uninitialized
-    // false-positives on vector relocation of the Json variant at -O2.
-    json::Array buckets(snap.buckets.size());
-    for (std::size_t i = 0; i < snap.buckets.size(); ++i) {
-      buckets[i] = static_cast<std::int64_t>(snap.buckets[i]);
-    }
-    histograms.push_back(json::Json::Obj(
-        {{"Name", name},
-         {"Count", static_cast<std::int64_t>(snap.count)},
-         {"Sum", static_cast<std::int64_t>(snap.sum)},
-         {"Mean", snap.mean()},
-         {"P50", snap.Percentile(0.50)},
-         {"P95", snap.Percentile(0.95)},
-         {"P99", snap.Percentile(0.99)},
-         {"Buckets", json::Json(std::move(buckets))}}));
+    histograms.push_back(redfish::HistogramDumpEntry(name, snap));
   }
   json::Array counters;
   for (const auto& [name, value] : counters_) {
-    counters.push_back(json::Json::Obj(
-        {{"Name", name}, {"Value", static_cast<std::int64_t>(value)}}));
+    counters.push_back(redfish::CounterDumpEntry(name, value));
   }
   json::Array shard_list;
   for (const std::string& shard : shards_) shard_list.push_back(json::Json(shard));
-  const std::uint64_t hits = scalar("ResponseCache.Hits");
-  const std::uint64_t misses = scalar("ResponseCache.Misses");
-  const double hit_rate =
-      hits + misses == 0
-          ? 0.0
-          : static_cast<double>(hits) / static_cast<double>(hits + misses);
-  return json::Json::Obj(
-      {{"Shards", json::Json(std::move(shard_list))},
-       {"Histograms", json::Json(std::move(histograms))},
-       {"Counters", json::Json(std::move(counters))},
-       {"Trace",
-        json::Json::Obj(
-            {{"SampledTraces", static_cast<std::int64_t>(scalar("Trace.SampledTraces"))},
-             {"SpansRecorded", static_cast<std::int64_t>(scalar("Trace.SpansRecorded"))},
-             {"SlowTraces", static_cast<std::int64_t>(scalar("Trace.SlowTraces"))},
-             {"RetainedTraces",
-              static_cast<std::int64_t>(scalar("Trace.RetainedTraces"))}})},
-       {"ResponseCache",
-        json::Json::Obj(
-            {{"Hits", static_cast<std::int64_t>(hits)},
-             {"Misses", static_cast<std::int64_t>(misses)},
-             {"Evictions", static_cast<std::int64_t>(scalar("ResponseCache.Evictions"))},
-             {"Invalidations",
-              static_cast<std::int64_t>(scalar("ResponseCache.Invalidations"))},
-             {"HitRate", hit_rate}})}});
+  json::Json dump = json::Json::Obj({{"Shards", json::Json(std::move(shard_list))},
+                                     {"Histograms", json::Json(std::move(histograms))},
+                                     {"Counters", json::Json(std::move(counters))}});
+  for (const auto& [name, sums] : sections_) dump.as_object().Set(name, sums);
+  // The fleet hit rate comes from the summed hits and misses.
+  dump.as_object().Set("ResponseCache", redfish::CacheSection(CacheStats(*this)));
+  return dump;
 }
 
-json::Json FleetRequestLatencyReport(const FleetMetrics& fleet) {
-  json::Array values;
-  for (const auto& [name, snap] : fleet.histograms()) {
-    // Same scaling convention as the shard-side report: latency series are
-    // nanoseconds, reported in milliseconds; size series pass through.
-    const bool is_ns =
-        (name.size() >= 3 && name.compare(name.size() - 3, 3, ".ns") == 0) ||
-        name.rfind("http.latency.", 0) == 0;
-    const double scale = is_ns ? 1e-6 : 1.0;
-    const std::string property = is_ns ? "milliseconds" : "units";
-    values.push_back(Metric(name + ".count", static_cast<double>(snap.count), "samples"));
-    values.push_back(Metric(name + ".p50", snap.Percentile(0.50) * scale, property));
-    values.push_back(Metric(name + ".p95", snap.Percentile(0.95) * scale, property));
-    values.push_back(Metric(name + ".p99", snap.Percentile(0.99) * scale, property));
-    values.push_back(Metric(name + ".mean", snap.mean() * scale, property));
+FleetReportBuilder GatheredFleetReport(const std::string& name) {
+  for (const auto& [report, build] : kGatheredReports) {
+    if (name == report) return build;
   }
-  for (const auto& [name, value] : fleet.counters()) {
-    values.push_back(Metric(name, static_cast<double>(value), "count"));
-  }
-  return ReportShell("RequestLatency",
-                     "Fleet request latency and stage-timing histograms",
-                     std::move(values));
-}
-
-json::Json FleetResponseCacheReport(const FleetMetrics& fleet) {
-  const double hits = static_cast<double>(fleet.scalar("ResponseCache.Hits"));
-  const double misses = static_cast<double>(fleet.scalar("ResponseCache.Misses"));
-  const double hit_rate = hits + misses == 0.0 ? 0.0 : hits / (hits + misses);
-  const char* property = "fleet read path";
-  json::Array values;
-  values.push_back(Metric("CacheHits", hits, property));
-  values.push_back(Metric("CacheMisses", misses, property));
-  values.push_back(Metric("CacheEvictions",
-                          static_cast<double>(fleet.scalar("ResponseCache.Evictions")),
-                          property));
-  values.push_back(
-      Metric("CacheInvalidations",
-             static_cast<double>(fleet.scalar("ResponseCache.Invalidations")), property));
-  values.push_back(Metric("CacheHitRate", hit_rate, property));
-  return ReportShell("ResponseCache", "Fleet read-path response cache counters",
-                     std::move(values));
-}
-
-json::Json FleetResilienceReport(const FleetMetrics& fleet) {
-  json::Array values;
-  values.push_back(Metric("ReplayedPosts",
-                          static_cast<double>(fleet.scalar("Resilience.ReplayedPosts")),
-                          "idempotency replay cache"));
-  values.push_back(Metric("BreakersOpen",
-                          static_cast<double>(fleet.scalar("Resilience.BreakersOpen")),
-                          "fleet breakers"));
-  values.push_back(Metric("BreakersTotal",
-                          static_cast<double>(fleet.scalar("Resilience.BreakersTotal")),
-                          "fleet breakers"));
-  json::Array shards;
-  for (const auto& [shard_id, resilience] : fleet.shard_resilience()) {
-    json::Json entry = json::Json::Obj(
-        {{"ShardId", shard_id},
-         {"BreakersOpen", resilience.GetInt("BreakersOpen", 0)},
-         {"BreakersTotal", resilience.GetInt("BreakersTotal", 0)},
-         {"ReplayedPosts", resilience.GetInt("ReplayedPosts", 0)}});
-    if (resilience.at("Breakers").is_array()) {
-      entry.as_object().Set("Breakers", resilience.at("Breakers"));
-    }
-    shards.push_back(std::move(entry));
-  }
-  json::Json report = ReportShell("Resilience",
-                                  "Fleet circuit breaker and retry counters",
-                                  std::move(values));
-  report.as_object().Set(
-      "Oem", json::Json::Obj({{"Ofmf", json::Json::Obj({{"Shards",
-                                                         json::Json(std::move(shards))}})}}));
-  return report;
-}
-
-json::Json FleetEventDeliveryReport(const FleetMetrics& fleet) {
-  const char* engine = "fleet event delivery";
-  json::Array values;
-  const auto add = [&](const char* id, const char* key) {
-    values.push_back(Metric(id, static_cast<double>(fleet.scalar(key)), engine));
-  };
-  add("EventsDelivered", "EventDelivery.Delivered");
-  add("DeliveryBatches", "EventDelivery.Batches");
-  add("EventsCoalesced", "EventDelivery.Coalesced");
-  add("EventsDropped", "EventDelivery.Dropped");
-  add("DeliveryRetries", "EventDelivery.Retries");
-  add("DeliveryFailures", "EventDelivery.Failures");
-  add("QueuedEvents", "EventDelivery.QueuedEvents");
-  add("BreakersOpen", "EventDelivery.BreakersOpen");
-  add("StreamSubscribers", "EventDelivery.Streams");
-  return ReportShell("EventDelivery", "Fleet event fan-out delivery state",
-                     std::move(values));
+  return nullptr;
 }
 
 json::Json FleetHealthReport(const RoutingTable& table, const FleetHealthInputs& inputs) {
+  const char* directory = "federation directory";
+  const char* router = "router scatter-gather";
   json::Array values;
-  values.push_back(Metric("ShardsRegistered", static_cast<double>(table.shards.size()),
-                          "federation directory"));
-  values.push_back(Metric("ShardsAlive", static_cast<double>(table.AliveCount()),
-                          "federation directory"));
-  values.push_back(Metric("TableEpoch", static_cast<double>(table.epoch),
-                          "federation directory"));
-  values.push_back(Metric("DegradedResponses",
-                          static_cast<double>(inputs.degraded_responses),
-                          "router scatter-gather"));
-  values.push_back(Metric("MembersOmittedCount",
-                          static_cast<double>(inputs.members_omitted),
-                          "router scatter-gather"));
+  values.push_back(Metric("ShardsRegistered", table.shards.size(), directory));
+  values.push_back(Metric("ShardsAlive", table.AliveCount(), directory));
+  values.push_back(Metric("TableEpoch", table.epoch, directory));
+  values.push_back(Metric("DegradedResponses", inputs.degraded_responses, router));
+  values.push_back(Metric("MembersOmittedCount", inputs.members_omitted, router));
   json::Array shards;
   for (const ShardInfo& shard : table.shards) {
     values.push_back(Metric("ShardAlive." + shard.id, shard.alive ? 1.0 : 0.0, shard.id));
     if (shard.heartbeat_age_ms >= 0) {
-      values.push_back(Metric("HeartbeatAgeMs." + shard.id,
-                              static_cast<double>(shard.heartbeat_age_ms), shard.id));
+      values.push_back(Metric("HeartbeatAgeMs." + shard.id, shard.heartbeat_age_ms, shard.id));
     }
-    json::Json entry = json::Json::Obj(
-        {{"ShardId", shard.id},
-         {"Alive", shard.alive},
-         {"Port", static_cast<std::int64_t>(shard.port)},
-         {"HeartbeatAgeMs", static_cast<std::int64_t>(shard.heartbeat_age_ms)}});
+    json::Json entry = json::Json::Obj({{"ShardId", shard.id},
+                                        {"Alive", shard.alive},
+                                        {"Port", shard.port},
+                                        {"HeartbeatAgeMs", shard.heartbeat_age_ms}});
     if (shard.stats.is_object()) {
       entry.as_object().Set("Stats", shard.stats);
-      values.push_back(Metric("BreakersOpen." + shard.id,
-                              static_cast<double>(shard.stats.GetInt("BreakersOpen", 0)),
-                              shard.id));
+      values.push_back(
+          Metric("BreakersOpen." + shard.id, shard.stats.GetInt("BreakersOpen", 0), shard.id));
     }
     shards.push_back(std::move(entry));
   }
-  json::Json report =
-      ReportShell("FleetHealth", "Per-shard liveness and self-reported health",
-                  std::move(values));
-  report.as_object().Set(
-      "Oem",
-      json::Json::Obj(
-          {{"Ofmf",
-            json::Json::Obj({{"Epoch", static_cast<std::int64_t>(table.epoch)},
-                             {"Shards", json::Json(std::move(shards))}})}}));
-  return report;
+  json::Json oem =
+      json::Json::Obj({{"Epoch", table.epoch}, {"Shards", json::Json(std::move(shards))}});
+  return Served("FleetHealth", "Per-shard liveness and self-reported health", std::move(values),
+                std::move(oem));
 }
 
 json::Json FleetTelemetryServiceDoc() {
   return json::Json::Obj(
-      {{"@odata.id", "/redfish/v1/TelemetryService"},
+      {{"@odata.id", core::kTelemetryService},
        {"@odata.type", "#TelemetryService.v1_3_1.TelemetryService"},
        {"Id", "TelemetryService"},
        {"Name", "Fleet Telemetry Service"},
        {"ServiceEnabled", true},
        {"Oem", json::Json::Obj({{"Ofmf", json::Json::Obj({{"Fleet", true}})}})},
-       {"MetricReports",
-        json::Json::Obj({{"@odata.id", "/redfish/v1/TelemetryService/MetricReports"}})}});
-}
-
-const std::vector<std::string>& FleetReportNames() {
-  static const std::vector<std::string> names = {
-      "RequestLatency", "ResponseCache", "Resilience", "EventDelivery", "FleetHealth"};
-  return names;
+       {"MetricReports", json::Json::Obj({{"@odata.id", core::kMetricReports}})}});
 }
 
 json::Json FleetMetricReportsDoc() {
+  const std::string prefix = std::string(core::kMetricReports) + "/";
   json::Array members;
-  for (const std::string& name : FleetReportNames()) {
-    members.push_back(json::Json::Obj(
-        {{"@odata.id", "/redfish/v1/TelemetryService/MetricReports/" + name}}));
-  }
+  for (const auto& [name, build] : kGatheredReports) members.push_back(odata::Ref(prefix + name));
+  members.push_back(odata::Ref(prefix + "FleetHealth"));
   return json::Json::Obj(
-      {{"@odata.id", "/redfish/v1/TelemetryService/MetricReports"},
+      {{"@odata.id", core::kMetricReports},
        {"@odata.type", "#MetricReportCollection.MetricReportCollection"},
        {"Name", "Fleet Metric Reports"},
-       {"Members@odata.count", static_cast<std::int64_t>(FleetReportNames().size())},
+       {"Members@odata.count", static_cast<std::int64_t>(members.size())},
        {"Members", json::Json(std::move(members))}});
 }
 

@@ -1,11 +1,9 @@
-// Fleet telemetry aggregation for the federation router. Shards expose a
-// one-shot MetricsDump (histograms with raw log2 buckets, counters, cache /
-// trace / delivery / resilience sections); the router scatter-gathers those
-// dumps and this module merges them into fleet-wide metrics: histograms add
-// bucket-wise (percentiles are recomputed from the merged buckets — they do
-// not compose), counters and scalar sections add. The report builders below
-// synthesize router-served MetricReport documents from the merged state and
-// the routing table (the router has no ResourceTree of its own).
+// Fleet telemetry aggregation for the federation router. The router
+// scatter-gathers every shard's MetricsDump and FleetMetrics merges them:
+// histograms add bucket-wise (percentiles are recomputed from the merged
+// buckets — they do not compose), counters and the integer fields of every
+// dump section add. The builders below render the router-served MetricReports
+// (the router has no ResourceTree) with the renderers the shards use.
 #pragma once
 
 #include <cstdint>
@@ -23,35 +21,32 @@ namespace ofmf::federation {
 /// Accumulator over per-shard MetricsDump documents.
 class FleetMetrics {
  public:
-  /// Folds one shard's MetricsDump in. Histogram entries without a Buckets
-  /// array are skipped (their percentiles cannot be merged honestly).
+  /// Folds one shard's MetricsDump in. Histogram entries without Buckets are
+  /// skipped (their percentiles cannot be merged honestly), and a negative
+  /// wire integer counts as 0 rather than wrapping a fleet total.
   void Absorb(const std::string& shard_id, const json::Json& dump);
 
-  const std::vector<std::string>& shards() const { return shards_; }
   const std::map<std::string, metrics::Histogram::Snapshot>& histograms() const {
     return histograms_;
   }
   const std::map<std::string, std::uint64_t>& counters() const { return counters_; }
-
-  /// Summed scalar sections, keyed "Section.Field" ("ResponseCache.Hits",
-  /// "EventDelivery.Dropped", "Resilience.BreakersOpen", ...). Rates are
-  /// excluded — recompute them from the summed numerators/denominators.
-  const std::map<std::string, std::uint64_t>& scalars() const { return scalars_; }
-  std::uint64_t scalar(const std::string& key) const;
-
+  /// Summed integer fields of dump section `name` ("ResponseCache", "Trace",
+  /// "EventDelivery", "Resilience", ...); rates are recomputed, not summed.
+  json::Json Section(const std::string& name) const;
   /// Per-shard Resilience sections, verbatim, for per-shard breaker detail.
   const std::vector<std::pair<std::string, json::Json>>& shard_resilience() const {
     return resilience_;
   }
 
-  /// Merged dump in the same shape as a shard MetricsDump, plus "Shards".
+  /// Merged dump in the shape of a shard MetricsDump, with "Shards" naming
+  /// the contributing shards instead of "ShardId".
   json::Json ToJson() const;
 
  private:
   std::vector<std::string> shards_;
   std::map<std::string, metrics::Histogram::Snapshot> histograms_;
   std::map<std::string, std::uint64_t> counters_;
-  std::map<std::string, std::uint64_t> scalars_;
+  std::map<std::string, json::Json> sections_;  // name -> {field: sum}
   std::vector<std::pair<std::string, json::Json>> resilience_;
 };
 
@@ -61,13 +56,12 @@ struct FleetHealthInputs {
   std::uint64_t members_omitted = 0;     // members those responses lost
 };
 
-/// #MetricReport documents served directly by the router (each carries its
-/// own @odata.id/@odata.type since no tree decorates it).
-json::Json FleetRequestLatencyReport(const FleetMetrics& fleet);
-json::Json FleetResponseCacheReport(const FleetMetrics& fleet);
-json::Json FleetResilienceReport(const FleetMetrics& fleet);
-json::Json FleetEventDeliveryReport(const FleetMetrics& fleet);
-/// Per-shard liveness / heartbeat age / self-reported breaker state from the
+/// Renders a router-served #MetricReport (with @odata.id/@odata.type) from
+/// the gathered dumps. GatheredFleetReport returns the builder of
+/// RequestLatency, ResponseCache, Resilience or EventDelivery, else nullptr.
+using FleetReportBuilder = json::Json (*)(const FleetMetrics& fleet);
+FleetReportBuilder GatheredFleetReport(const std::string& name);
+/// Per-shard liveness, heartbeat age and self-reported breakers from the
 /// routing table, plus the router's own degradation counters.
 json::Json FleetHealthReport(const RoutingTable& table, const FleetHealthInputs& inputs);
 
@@ -75,8 +69,5 @@ json::Json FleetHealthReport(const RoutingTable& table, const FleetHealthInputs&
 /// serves at /redfish/v1/TelemetryService[/MetricReports].
 json::Json FleetTelemetryServiceDoc();
 json::Json FleetMetricReportsDoc();
-
-/// Names of the fleet reports, in collection order.
-const std::vector<std::string>& FleetReportNames();
 
 }  // namespace ofmf::federation

@@ -941,11 +941,6 @@ std::optional<http::Response> FederationRouter::TelemetryIntercept(
     const std::string reports_prefix = std::string(core::kMetricReports) + "/";
     if (strings::StartsWith(path, reports_prefix)) {
       const std::string name = path.substr(reports_prefix.size());
-      const auto& names = FleetReportNames();
-      if (std::find(names.begin(), names.end(), name) == names.end()) {
-        return redfish::ErrorResponse(
-            Status::NotFound("no fleet MetricReport named " + name));
-      }
       if (name == "FleetHealth") {
         // Health needs no shard round-trips: liveness / heartbeat age /
         // self-reported stats all live in the routing table.
@@ -954,17 +949,12 @@ std::optional<http::Response> FederationRouter::TelemetryIntercept(
         inputs.members_omitted = omitted_members_.load(std::memory_order_relaxed);
         return http::MakeJsonResponse(200, FleetHealthReport(table, inputs));
       }
-      const FleetMetrics fleet = GatherFleetMetrics(table);
-      if (name == "RequestLatency") {
-        return http::MakeJsonResponse(200, FleetRequestLatencyReport(fleet));
+      const FleetReportBuilder build = GatheredFleetReport(name);
+      if (build == nullptr) {
+        return redfish::ErrorResponse(
+            Status::NotFound("no fleet MetricReport named " + name));
       }
-      if (name == "ResponseCache") {
-        return http::MakeJsonResponse(200, FleetResponseCacheReport(fleet));
-      }
-      if (name == "Resilience") {
-        return http::MakeJsonResponse(200, FleetResilienceReport(fleet));
-      }
-      return http::MakeJsonResponse(200, FleetEventDeliveryReport(fleet));
+      return http::MakeJsonResponse(200, build(GatherFleetMetrics(table)));
     }
     return std::nullopt;
   }

@@ -347,10 +347,11 @@ void EventService::RestoreDurableEventState(const store::DurableEventState& stat
 }
 
 void EventService::OnTreeChange(const redfish::ChangeEvent& change) {
-  // Skip event-service plumbing itself (avoids self-amplification) and
-  // session churn.
+  // Skip event-service plumbing itself and the quiet URIs (avoids
+  // self-amplification) and session churn.
   if (strings::StartsWith(change.uri, kSubscriptions) ||
-      strings::StartsWith(change.uri, kSessions)) {
+      strings::StartsWith(change.uri, kSessions) ||
+      std::find(quiet_uris_.begin(), quiet_uris_.end(), change.uri) != quiet_uris_.end()) {
     return;
   }
   Event event;

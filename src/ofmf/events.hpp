@@ -75,6 +75,11 @@ class EventService {
   /// per overflow episode, published outside the service lock).
   void Publish(const Event& event);
 
+  /// Tree changes to these URIs publish no event. For service-internal
+  /// documents that a read refreshes: an event per refresh would move the
+  /// delivery counters such a document reports. Call before serving.
+  void SetQuietUris(std::vector<std::string> uris) { quiet_uris_ = std::move(uris); }
+
   /// Drains the internal queue of a subscription (by URI).
   Result<std::vector<json::Json>> Drain(const std::string& subscription_uri);
 
@@ -168,6 +173,7 @@ class EventService {
   CursorJournal cursor_journal_;
   std::atomic<std::uint64_t> internal_dropped_{0};
   std::uint64_t tree_token_ = 0;
+  std::vector<std::string> quiet_uris_;  // written once, before serving
   DeliveryEngine delivery_;
 };
 

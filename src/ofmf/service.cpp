@@ -16,6 +16,7 @@
 #include "ofmf/uris.hpp"
 #include "redfish/conformance.hpp"
 #include "redfish/errors.hpp"
+#include "redfish/metric_report.hpp"
 
 namespace ofmf::core {
 namespace {
@@ -74,7 +75,24 @@ OfmfService::OfmfService()
       events_(tree_, clock_),
       tasks_(tree_, clock_),
       telemetry_(tree_, events_, clock_),
-      composition_(tree_, events_) {}
+      composition_(tree_, events_) {
+  const std::pair<const char*, std::function<json::Json()>> reports[] = {
+      {"ResponseCache", [this] { return ResponseCacheReport(rest_.response_cache().stats()); }},
+      {"Resilience", [this] { return ResilienceReport(CollectResilience()); }},
+      {"RequestLatency", [] { return RequestLatencyReport(); }},
+      {"EventDelivery", [this] { return EventDeliveryReport(events_.CollectDelivery()); }},
+      {"TenantQoS", [this] { return TenantQosReport(telemetry_.TenantQos()); }},
+  };
+  std::vector<std::string> uris;
+  for (const auto& [id, content] : reports) {
+    uris.push_back(TelemetryService::ReportUri(id));
+    internal_reports_.emplace(uris.back(), content);
+  }
+  // The ResponseCache report counts the cache's own lookups, so reading it
+  // must not be one.
+  rest_.SetUncachedUri(TelemetryService::ReportUri("ResponseCache"));
+  events_.SetQuietUris(std::move(uris));
+}
 
 Status OfmfService::BootstrapServiceRoot() {
   OFMF_RETURN_IF_ERROR(tree_.Create(
@@ -271,44 +289,25 @@ void OfmfService::WireRoutes() {
                       {"Issues", json::Json(std::move(issues))}}));
       });
 
-  // One-shot observability dump: every histogram (with percentiles), every
-  // counter, the trace-recorder stats, and the read-path cache counters in
-  // one JSON document. Benches and operators scrape this instead of stitching
-  // MetricReports together.
+  // One-shot observability dump: every histogram (with percentiles and raw
+  // buckets), every counter, and the trace, read-path cache, event-delivery
+  // and resilience counters in one JSON document. Benches and operators
+  // scrape this instead of stitching MetricReports together, and the
+  // federation router merges the shards' dumps into the fleet dump.
   rest_.RegisterAction(
       "OfmfService.MetricsDump",
       [this](const std::string&, const json::Json&) -> http::Response {
         json::Array histograms;
         for (const metrics::Registry::NamedHistogram& entry :
              metrics::Registry::instance().HistogramSnapshots()) {
-          // Raw log2 buckets travel with every histogram so the federation
-          // router can merge shard dumps bucket-wise (percentiles do not
-          // compose; buckets do).
-          // Pre-sized assignment, not push_back: GCC 12's
-          // -Wmaybe-uninitialized false-positives on vector relocation of
-          // the Json variant at -O2.
-          json::Array buckets(entry.snap.buckets.size());
-          for (std::size_t i = 0; i < entry.snap.buckets.size(); ++i) {
-            buckets[i] = static_cast<std::int64_t>(entry.snap.buckets[i]);
-          }
-          histograms.push_back(json::Json::Obj(
-              {{"Name", entry.name},
-               {"Count", static_cast<std::int64_t>(entry.snap.count)},
-               {"Sum", static_cast<std::int64_t>(entry.snap.sum)},
-               {"Mean", entry.snap.mean()},
-               {"P50", entry.snap.Percentile(0.50)},
-               {"P95", entry.snap.Percentile(0.95)},
-               {"P99", entry.snap.Percentile(0.99)},
-               {"Buckets", json::Json(std::move(buckets))}}));
+          histograms.push_back(redfish::HistogramDumpEntry(entry.name, entry.snap));
         }
         json::Array counters;
         for (const auto& [name, value] : metrics::Registry::instance().CounterValues()) {
-          counters.push_back(json::Json::Obj(
-              {{"Name", name}, {"Value", static_cast<std::int64_t>(value)}}));
+          counters.push_back(redfish::CounterDumpEntry(name, value));
         }
         const trace::TraceStats tstats = trace::TraceRecorder::instance().stats();
-        const redfish::ResponseCacheStats cstats = rest_.response_cache().stats();
-        const DeliverySnapshot dstats = events_.CollectDelivery();
+        // The router sums every integer field of every object section.
         return http::MakeJsonResponse(
             200,
             json::Json::Obj(
@@ -316,36 +315,14 @@ void OfmfService::WireRoutes() {
                  {"Histograms", json::Json(std::move(histograms))},
                  {"Counters", json::Json(std::move(counters))},
                  {"Trace",
-                  json::Json::Obj(
-                      {{"SampledTraces", static_cast<std::int64_t>(tstats.sampled_traces)},
-                       {"SkippedTraces", static_cast<std::int64_t>(tstats.skipped_traces)},
-                       {"SpansRecorded", static_cast<std::int64_t>(tstats.spans_recorded)},
-                       {"SpansEvicted", static_cast<std::int64_t>(tstats.spans_evicted)},
-                       {"SlowTraces", static_cast<std::int64_t>(tstats.slow_traces)},
-                       {"RetainedTraces",
-                        static_cast<std::int64_t>(tstats.retained_traces)}})},
-                 {"ResponseCache",
-                  json::Json::Obj(
-                      {{"Hits", static_cast<std::int64_t>(cstats.hits)},
-                       {"Misses", static_cast<std::int64_t>(cstats.misses)},
-                       {"Evictions", static_cast<std::int64_t>(cstats.evictions)},
-                       {"Invalidations", static_cast<std::int64_t>(cstats.invalidations)},
-                       {"HitRate", cstats.hit_rate()}})},
-                 // The two sections below exist for the federation router's
-                 // fleet aggregation (counters add across shards).
-                 {"EventDelivery",
-                  json::Json::Obj(
-                      {{"Delivered", static_cast<std::int64_t>(dstats.delivered)},
-                       {"Batches", static_cast<std::int64_t>(dstats.batches)},
-                       {"Coalesced", static_cast<std::int64_t>(dstats.coalesced)},
-                       {"Dropped", static_cast<std::int64_t>(dstats.dropped)},
-                       {"Retries", static_cast<std::int64_t>(dstats.retries)},
-                       {"Failures", static_cast<std::int64_t>(dstats.failures)},
-                       {"QueuedEvents", static_cast<std::int64_t>(dstats.total_queued)},
-                       {"BreakersOpen", static_cast<std::int64_t>(dstats.breakers_open)},
-                       {"Streams", static_cast<std::int64_t>(dstats.streams)},
-                       {"LastSequence",
-                        static_cast<std::int64_t>(dstats.last_sequence)}})},
+                  json::Json::Obj({{"SampledTraces", tstats.sampled_traces},
+                                   {"SkippedTraces", tstats.skipped_traces},
+                                   {"SpansRecorded", tstats.spans_recorded},
+                                   {"SpansEvicted", tstats.spans_evicted},
+                                   {"SlowTraces", tstats.slow_traces},
+                                   {"RetainedTraces", tstats.retained_traces}})},
+                 {"ResponseCache", redfish::CacheSection(rest_.response_cache().stats())},
+                 {"EventDelivery", DeliverySection(events_.CollectDelivery())},
                  {"Resilience", HealthStats()}}));
       });
 
@@ -556,19 +533,15 @@ ResilienceSnapshot OfmfService::CollectResilience() const {
 json::Json OfmfService::HealthStats() {
   const ResilienceSnapshot resilience = CollectResilience();
   std::int64_t open = 0;
-  json::Array breakers;
   for (const ResilienceSnapshot::FabricBreaker& breaker : resilience.breakers) {
     if (breaker.state != BreakerState::kClosed) ++open;
-    breakers.push_back(json::Json::Obj({{"FabricId", breaker.fabric_id},
-                                        {"State", to_string(breaker.state)},
-                                        {"Degraded", breaker.degraded}}));
   }
   const redfish::ResponseCacheStats cache = rest_.response_cache().stats();
   return json::Json::Obj({
       {"BreakersOpen", open},
-      {"BreakersTotal", static_cast<std::int64_t>(resilience.breakers.size())},
-      {"Breakers", json::Json(std::move(breakers))},
-      {"ReplayedPosts", static_cast<std::int64_t>(resilience.replayed_posts)},
+      {"BreakersTotal", resilience.breakers.size()},
+      {"Breakers", BreakerStates(resilience)},
+      {"ReplayedPosts", resilience.replayed_posts},
       {"CacheHitRate", cache.hit_rate()},
   });
 }
@@ -940,11 +913,7 @@ void OfmfService::PeriodicReportRefresh() {
   // thread refreshes once per kReportRefreshInterval requests it handles.
   thread_local std::uint64_t handled = 0;
   if ((++handled & (kReportRefreshInterval - 1)) != 0) return;
-  (void)telemetry_.UpdateResponseCacheReport(rest_.response_cache().stats());
-  (void)telemetry_.UpdateResilienceReport(CollectResilience());
-  (void)telemetry_.UpdateRequestLatencyReport();
-  (void)telemetry_.UpdateEventDeliveryReport(events_.CollectDelivery());
-  (void)telemetry_.UpdateTenantQosReport();
+  for (const auto& [uri, content] : internal_reports_) (void)telemetry_.Publish(content());
 }
 
 http::Response OfmfService::HandleInner(const http::Request& request) {
@@ -995,6 +964,12 @@ http::Response OfmfService::HandleInner(const http::Request& request) {
       return it->second.response;
     }
   }
+  // Reading a service-internal MetricReport first refreshes it (a no-op when
+  // its content has not moved, so back-to-back scrapes keep the ETag).
+  if (request.method == http::Method::kGet || request.method == http::Method::kHead) {
+    const auto report = internal_reports_.find(http::NormalizePath(request.path));
+    if (report != internal_reports_.end()) (void)telemetry_.Publish(report->second());
+  }
   http::Response response = Dispatch(request);
   // Durability upkeep rides the write path only: reads stay on the PR 1
   // fast lane (shared-lock tree + response cache) and never touch the store.
@@ -1031,38 +1006,6 @@ http::Response OfmfService::Dispatch(const http::Request& request) {
       return rest_.Handle(rewritten);
     }
   }
-  // Lazy refresh of the read-path cache counters: reading the ResponseCache
-  // MetricReport first syncs it from the live cache (no-op when the counters
-  // have not moved since the last sync; other telemetry reads are untouched).
-  if ((request.method == http::Method::kGet || request.method == http::Method::kHead) &&
-      http::NormalizePath(request.path) == TelemetryService::ResponseCacheReportUri()) {
-    (void)telemetry_.UpdateResponseCacheReport(rest_.response_cache().stats());
-  }
-  // Same lazy pattern for the breaker/retry counters.
-  if ((request.method == http::Method::kGet || request.method == http::Method::kHead) &&
-      http::NormalizePath(request.path) == TelemetryService::ResilienceReportUri()) {
-    (void)telemetry_.UpdateResilienceReport(CollectResilience());
-  }
-  // And for the event fan-out delivery report.
-  if ((request.method == http::Method::kGet || request.method == http::Method::kHead) &&
-      http::NormalizePath(request.path) == TelemetryService::EventDeliveryReportUri()) {
-    (void)telemetry_.UpdateEventDeliveryReport(events_.CollectDelivery());
-  }
-  // And for the latency-histogram report. Reading the report does not move
-  // any histogram (the MetricReports subtree is excluded from the per-
-  // endpoint timers), so back-to-back scrapes with no traffic in between
-  // keep the same ETag and the second one is a 304.
-  if ((request.method == http::Method::kGet || request.method == http::Method::kHead) &&
-      http::NormalizePath(request.path) ==
-          TelemetryService::RequestLatencyReportUri()) {
-    (void)telemetry_.UpdateRequestLatencyReport();
-  }
-  // And for the per-tenant fair-scheduling report.
-  if ((request.method == http::Method::kGet || request.method == http::Method::kHead) &&
-      http::NormalizePath(request.path) == TelemetryService::TenantQosReportUri()) {
-    (void)telemetry_.UpdateTenantQosReport();
-  }
-
   // Server-Sent-Events streaming subscription: the reactor's first
   // long-lived, non-request/response connection type. The response carries
   // an open hook instead of a body; the reactor writes the head, then runs

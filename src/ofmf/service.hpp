@@ -166,13 +166,13 @@ class OfmfService {
   http::Response Dispatch(const http::Request& request);
 
   /// Every kReportRefreshInterval-th request a thread handles piggybacks a
-  /// refresh of the internal MetricReports (ResponseCache, Resilience,
-  /// RequestLatency), so the reports stay current without a background
-  /// thread. The stride is per thread (a thread-local counter keeps the hot
-  /// path free of shared-cache-line traffic), the registry-disabled
-  /// configuration skips it entirely, and scrape GETs refresh lazily anyway
-  /// — the periodic pass only serves passive ETag pollers. The quiet-update
-  /// fingerprints make a refresh free when nothing moved.
+  /// refresh of the service-internal MetricReports (internal_reports_), so
+  /// the reports stay current without a background thread. The stride is
+  /// per thread (a thread-local counter keeps the hot path free of
+  /// shared-cache-line traffic), the registry-disabled configuration skips
+  /// it entirely, and scrape GETs refresh lazily anyway — the periodic pass
+  /// only serves passive ETag pollers. TelemetryService::Publish leaves a
+  /// report whose content did not move untouched.
   void PeriodicReportRefresh();
 
   /// Authentication gate, run by Handle() before anything else (including
@@ -203,6 +203,11 @@ class OfmfService {
   TaskService tasks_;
   TelemetryService telemetry_;
   CompositionService composition_;
+  // The service-internal MetricReports, URI -> renderer of the current
+  // content: ResponseCache, Resilience, RequestLatency, EventDelivery and
+  // TenantQoS. A GET of a URI refreshes that report, PeriodicReportRefresh
+  // refreshes all, and the EventService publishes no events for them.
+  std::map<std::string, std::function<json::Json()>> internal_reports_;
   std::map<std::string, std::shared_ptr<FabricAgent>> agents_by_fabric_;
   std::deque<std::function<void()>> pending_work_;
   bool bootstrapped_ = false;

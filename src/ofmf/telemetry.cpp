@@ -1,9 +1,15 @@
 #include "ofmf/telemetry.hpp"
 
+#include <tuple>
+#include <utility>
+
 #include "common/metrics.hpp"
 #include "ofmf/uris.hpp"
+#include "redfish/metric_report.hpp"
 
 namespace ofmf::core {
+
+using redfish::Metric;
 
 TelemetryService::TelemetryService(redfish::ResourceTree& tree, EventService& events,
                                    SimClock& clock)
@@ -21,33 +27,23 @@ Status TelemetryService::Bootstrap() {
       kMetricReports, "#MetricReportCollection.MetricReportCollection", "Metric Reports");
 }
 
+std::string TelemetryService::ReportUri(const std::string& report_id) {
+  return std::string(kMetricReports) + "/" + report_id;
+}
+
 Status TelemetryService::PushReport(const std::string& report_id,
                                     const std::vector<MetricValue>& values) {
   if (report_id.empty()) return Status::InvalidArgument("report id must be non-empty");
-  const std::string uri = std::string(kMetricReports) + "/" + report_id;
   json::Array metric_values;
   for (const MetricValue& value : values) {
-    json::Json entry = json::Json::Obj({{"MetricId", value.metric_id},
-                                        {"MetricValue", value.value},
-                                        {"Timestamp", FormatSimTimestamp(clock_.now())}});
-    if (!value.property.empty()) {
-      entry.as_object().Set("MetricProperty", value.property);
-    }
+    json::Json entry =
+        json::Json::Obj({{"MetricId", value.metric_id}, {"MetricValue", value.value}});
+    if (!value.property.empty()) entry.as_object().Set("MetricProperty", value.property);
     metric_values.push_back(std::move(entry));
   }
-  json::Json payload = json::Json::Obj({
-      {"Id", report_id},
-      {"Name", "Metric report " + report_id},
-      {"ReportSequence", 0},
-      {"MetricValues", json::Json(std::move(metric_values))},
-  });
-  if (tree_.Exists(uri)) {
-    OFMF_RETURN_IF_ERROR(tree_.Replace(uri, std::move(payload)));
-  } else {
-    OFMF_RETURN_IF_ERROR(
-        tree_.Create(uri, "#MetricReport.v1_4_2.MetricReport", std::move(payload)));
-    OFMF_RETURN_IF_ERROR(tree_.AddMember(kMetricReports, uri));
-  }
+  OFMF_RETURN_IF_ERROR(Write(
+      redfish::MetricReport(report_id, "Metric report " + report_id, std::move(metric_values))));
+  const std::string uri = ReportUri(report_id);
   Event event;
   event.event_type = "MetricReport";
   event.message_id = "TelemetryService.1.0.MetricReportUpdated";
@@ -57,432 +53,46 @@ Status TelemetryService::PushReport(const std::string& report_id,
   return Status::Ok();
 }
 
-std::string TelemetryService::ResponseCacheReportUri() {
-  return std::string(kMetricReports) + "/ResponseCache";
-}
-
-Status TelemetryService::UpdateResponseCacheReport(
-    const redfish::ResponseCacheStats& stats) {
-  std::lock_guard<std::mutex> lock(cache_report_mu_);
-  if (cache_report_exists_ && stats.hits == last_cache_stats_.hits &&
-      stats.misses == last_cache_stats_.misses &&
-      stats.evictions == last_cache_stats_.evictions &&
-      stats.invalidations == last_cache_stats_.invalidations) {
-    return Status::Ok();
+Status TelemetryService::Publish(json::Json report) {
+  const std::string id = report.GetString("Id");
+  if (id.empty() || !report.at("MetricValues").is_array()) {
+    return Status::InvalidArgument("a report needs an Id and MetricValues");
   }
-  const std::string uri = ResponseCacheReportUri();
-  const std::string timestamp = FormatSimTimestamp(clock_.now());
-  const auto counter = [&](const char* id, double value) {
-    return json::Json::Obj({{"MetricId", id},
-                            {"MetricValue", value},
-                            {"MetricProperty", "/redfish/v1 read path"},
-                            {"Timestamp", timestamp}});
-  };
-  json::Json payload = json::Json::Obj({
-      {"Id", "ResponseCache"},
-      {"Name", "Read-path serialized-response cache counters"},
-      {"ReportSequence", 0},
-      {"MetricValues",
-       json::Json::Arr({counter("CacheHits", static_cast<double>(stats.hits)),
-                        counter("CacheMisses", static_cast<double>(stats.misses)),
-                        counter("CacheEvictions", static_cast<double>(stats.evictions)),
-                        counter("CacheInvalidations",
-                                static_cast<double>(stats.invalidations)),
-                        counter("CacheHitRate", stats.hit_rate())})},
-  });
-  if (cache_report_exists_ || tree_.Exists(uri)) {
-    OFMF_RETURN_IF_ERROR(tree_.Replace(uri, std::move(payload)));
-  } else {
-    OFMF_RETURN_IF_ERROR(
-        tree_.Create(uri, "#MetricReport.v1_4_2.MetricReport", std::move(payload)));
-    OFMF_RETURN_IF_ERROR(tree_.AddMember(kMetricReports, uri));
-  }
-  cache_report_exists_ = true;
-  last_cache_stats_ = stats;
+  std::lock_guard<std::mutex> lock(mu_);
+  const auto last = published_.find(id);
+  if (last != published_.end() && last->second == report) return Status::Ok();
+  OFMF_RETURN_IF_ERROR(Write(report));
+  published_[id] = std::move(report);
   return Status::Ok();
 }
 
-std::string TelemetryService::ResilienceReportUri() {
-  return std::string(kMetricReports) + "/Resilience";
-}
-
-Status TelemetryService::UpdateResilienceReport(const ResilienceSnapshot& snapshot) {
-  // Fingerprint excludes timestamps so an unchanged snapshot leaves the
-  // report's version (and every cached response of it) alone.
-  std::string fingerprint = std::to_string(snapshot.replayed_posts);
-  for (const ResilienceSnapshot::FabricBreaker& breaker : snapshot.breakers) {
-    fingerprint += "|" + breaker.fabric_id + ":" + to_string(breaker.state) + ":" +
-                   std::to_string(breaker.stats.successes) + ":" +
-                   std::to_string(breaker.stats.failures) + ":" +
-                   std::to_string(breaker.stats.rejected) + ":" +
-                   std::to_string(breaker.stats.opens) + ":" +
-                   std::to_string(breaker.stats.closes) + ":" +
-                   (breaker.degraded ? "1" : "0");
-  }
-  std::lock_guard<std::mutex> lock(resilience_report_mu_);
-  if (resilience_report_exists_ && fingerprint == last_resilience_fingerprint_) {
-    return Status::Ok();
-  }
-
+Status TelemetryService::Write(json::Json report) {
   const std::string timestamp = FormatSimTimestamp(clock_.now());
-  const auto counter = [&](const std::string& id, double value,
-                           const std::string& property) {
-    return json::Json::Obj({{"MetricId", id},
-                            {"MetricValue", value},
-                            {"MetricProperty", property},
-                            {"Timestamp", timestamp}});
-  };
-  json::Array values;
-  values.push_back(counter("ReplayedPosts", static_cast<double>(snapshot.replayed_posts),
-                           "idempotency replay cache"));
-  json::Array breakers;
-  for (const ResilienceSnapshot::FabricBreaker& breaker : snapshot.breakers) {
-    const std::string property = FabricUri(breaker.fabric_id);
-    values.push_back(counter("BreakerSuccesses." + breaker.fabric_id,
-                             static_cast<double>(breaker.stats.successes), property));
-    values.push_back(counter("BreakerFailures." + breaker.fabric_id,
-                             static_cast<double>(breaker.stats.failures), property));
-    values.push_back(counter("BreakerRejected." + breaker.fabric_id,
-                             static_cast<double>(breaker.stats.rejected), property));
-    values.push_back(counter("BreakerOpens." + breaker.fabric_id,
-                             static_cast<double>(breaker.stats.opens), property));
-    values.push_back(counter("BreakerCloses." + breaker.fabric_id,
-                             static_cast<double>(breaker.stats.closes), property));
-    breakers.push_back(json::Json::Obj({{"FabricId", breaker.fabric_id},
-                                        {"State", to_string(breaker.state)},
-                                        {"Degraded", breaker.degraded}}));
+  for (json::Json& value : report.as_object().Find("MetricValues")->as_array()) {
+    value.as_object().Set("Timestamp", timestamp);
   }
-  json::Json payload = json::Json::Obj({
-      {"Id", "Resilience"},
-      {"Name", "Circuit breaker and retry counters"},
-      {"ReportSequence", 0},
-      {"MetricValues", json::Json(std::move(values))},
-      {"Oem",
-       json::Json::Obj({{"Ofmf", json::Json::Obj({{"Breakers",
-                                                   json::Json(std::move(breakers))}})}})},
-  });
-  const std::string uri = ResilienceReportUri();
-  if (resilience_report_exists_ || tree_.Exists(uri)) {
-    OFMF_RETURN_IF_ERROR(tree_.Replace(uri, std::move(payload)));
-  } else {
-    OFMF_RETURN_IF_ERROR(
-        tree_.Create(uri, "#MetricReport.v1_4_2.MetricReport", std::move(payload)));
-    OFMF_RETURN_IF_ERROR(tree_.AddMember(kMetricReports, uri));
-  }
-  resilience_report_exists_ = true;
-  last_resilience_fingerprint_ = std::move(fingerprint);
-  return Status::Ok();
-}
-
-std::string TelemetryService::EventDeliveryReportUri() {
-  return std::string(kMetricReports) + "/EventDelivery";
-}
-
-Status TelemetryService::UpdateEventDeliveryReport(const DeliverySnapshot& snapshot) {
-  // Fingerprint excludes timestamps so an unchanged snapshot leaves the
-  // report's version (and every cached response of it) alone.
-  std::string fingerprint = std::to_string(snapshot.last_sequence) + "|" +
-                            std::to_string(snapshot.total_queued) + "|" +
-                            std::to_string(snapshot.delivered) + "|" +
-                            std::to_string(snapshot.dropped) + "|" +
-                            std::to_string(snapshot.retries) + "|" +
-                            std::to_string(snapshot.failures) + "|" +
-                            std::to_string(snapshot.breakers_open);
-  for (const SubscriberSnapshot& subscriber : snapshot.subscribers) {
-    fingerprint += "|" + subscriber.uri + ":" +
-                   std::to_string(subscriber.queue_depth) + ":" +
-                   std::to_string(subscriber.enqueued) + ":" +
-                   std::to_string(subscriber.delivered) + ":" +
-                   std::to_string(subscriber.batches) + ":" +
-                   std::to_string(subscriber.coalesced) + ":" +
-                   std::to_string(subscriber.dropped) + ":" +
-                   std::to_string(subscriber.retries) + ":" +
-                   std::to_string(subscriber.failures) + ":" +
-                   std::to_string(subscriber.cursor_lag) + ":" +
-                   std::to_string(subscriber.breaker_stats.opens) + ":" +
-                   to_string(subscriber.breaker_state);
-  }
-  std::lock_guard<std::mutex> lock(delivery_report_mu_);
-  if (delivery_report_exists_ && fingerprint == last_delivery_fingerprint_) {
-    return Status::Ok();
-  }
-
-  const std::string timestamp = FormatSimTimestamp(clock_.now());
-  const auto counter = [&](const std::string& id, double value,
-                           const std::string& property) {
-    return json::Json::Obj({{"MetricId", id},
-                            {"MetricValue", value},
-                            {"MetricProperty", property},
-                            {"Timestamp", timestamp}});
-  };
-  json::Array values;
-  const char* engine = "event delivery engine";
-  values.push_back(counter("EventsDelivered", static_cast<double>(snapshot.delivered), engine));
-  values.push_back(counter("DeliveryBatches", static_cast<double>(snapshot.batches), engine));
-  values.push_back(counter("EventsCoalesced", static_cast<double>(snapshot.coalesced), engine));
-  values.push_back(counter("EventsDropped", static_cast<double>(snapshot.dropped), engine));
-  values.push_back(counter("DeliveryRetries", static_cast<double>(snapshot.retries), engine));
-  values.push_back(counter("DeliveryFailures", static_cast<double>(snapshot.failures), engine));
-  values.push_back(counter("QueuedEvents", static_cast<double>(snapshot.total_queued), engine));
-  values.push_back(counter("MaxQueueDepth", static_cast<double>(snapshot.max_queue_depth), engine));
-  values.push_back(counter("MaxCursorLag", static_cast<double>(snapshot.max_cursor_lag), engine));
-  values.push_back(counter("BreakersOpen", static_cast<double>(snapshot.breakers_open), engine));
-  values.push_back(counter("StreamSubscribers", static_cast<double>(snapshot.streams), engine));
-  json::Array subscribers;
-  for (const SubscriberSnapshot& subscriber : snapshot.subscribers) {
-    values.push_back(counter("QueueDepth." + subscriber.uri,
-                             static_cast<double>(subscriber.queue_depth),
-                             subscriber.uri));
-    values.push_back(counter("CursorLag." + subscriber.uri,
-                             static_cast<double>(subscriber.cursor_lag),
-                             subscriber.uri));
-    values.push_back(counter("Queued." + subscriber.uri,
-                             static_cast<double>(subscriber.enqueued),
-                             subscriber.uri));
-    values.push_back(counter("Delivered." + subscriber.uri,
-                             static_cast<double>(subscriber.delivered),
-                             subscriber.uri));
-    values.push_back(counter("Dropped." + subscriber.uri,
-                             static_cast<double>(subscriber.dropped),
-                             subscriber.uri));
-    values.push_back(counter("Retries." + subscriber.uri,
-                             static_cast<double>(subscriber.retries),
-                             subscriber.uri));
-    values.push_back(counter("BreakerOpen." + subscriber.uri,
-                             subscriber.breaker_state == BreakerState::kClosed ? 0.0 : 1.0,
-                             subscriber.uri));
-    subscribers.push_back(json::Json::Obj(
-        {{"Subscription", subscriber.uri},
-         {"Destination", subscriber.destination},
-         {"Stream", subscriber.stream},
-         {"QueueDepth", static_cast<std::int64_t>(subscriber.queue_depth)},
-         {"Enqueued", static_cast<std::int64_t>(subscriber.enqueued)},
-         {"Delivered", static_cast<std::int64_t>(subscriber.delivered)},
-         {"Batches", static_cast<std::int64_t>(subscriber.batches)},
-         {"Coalesced", static_cast<std::int64_t>(subscriber.coalesced)},
-         {"Dropped", static_cast<std::int64_t>(subscriber.dropped)},
-         {"Retries", static_cast<std::int64_t>(subscriber.retries)},
-         {"Failures", static_cast<std::int64_t>(subscriber.failures)},
-         {"AckedSequence", static_cast<std::int64_t>(subscriber.acked_sequence)},
-         {"CursorLag", static_cast<std::int64_t>(subscriber.cursor_lag)},
-         {"BreakerState", to_string(subscriber.breaker_state)},
-         {"BreakerOpens", static_cast<std::int64_t>(subscriber.breaker_stats.opens)},
-         {"BreakerCloses", static_cast<std::int64_t>(subscriber.breaker_stats.closes)},
-         {"BreakerRejected",
-          static_cast<std::int64_t>(subscriber.breaker_stats.rejected)}}));
-  }
-  json::Json payload = json::Json::Obj({
-      {"Id", "EventDelivery"},
-      {"Name", "Event fan-out delivery state"},
-      {"ReportSequence", 0},
-      {"MetricValues", json::Json(std::move(values))},
-      {"Oem",
-       json::Json::Obj(
-           {{"Ofmf",
-             json::Json::Obj({{"LastSequence",
-                               static_cast<std::int64_t>(snapshot.last_sequence)},
-                              {"Subscribers",
-                               json::Json(std::move(subscribers))}})}})},
-  });
-  const std::string uri = EventDeliveryReportUri();
-  if (delivery_report_exists_ || tree_.Exists(uri)) {
-    OFMF_RETURN_IF_ERROR(tree_.Replace(uri, std::move(payload)));
-  } else {
-    OFMF_RETURN_IF_ERROR(
-        tree_.Create(uri, "#MetricReport.v1_4_2.MetricReport", std::move(payload)));
-    OFMF_RETURN_IF_ERROR(tree_.AddMember(kMetricReports, uri));
-  }
-  delivery_report_exists_ = true;
-  last_delivery_fingerprint_ = std::move(fingerprint);
-  return Status::Ok();
-}
-
-std::string TelemetryService::RequestLatencyReportUri() {
-  return std::string(kMetricReports) + "/RequestLatency";
-}
-
-Status TelemetryService::UpdateRequestLatencyReport() {
-  const std::vector<metrics::Registry::NamedHistogram> histograms =
-      metrics::Registry::instance().HistogramSnapshots();
-  const std::vector<std::pair<std::string, std::uint64_t>> counters =
-      metrics::Registry::instance().CounterValues();
-
-  // (count, sum) pins every histogram's contents; timestamps stay out of the
-  // fingerprint so a no-traffic scrape is a pure no-op (ETag-stable -> 304).
-  std::string fingerprint;
-  for (const metrics::Registry::NamedHistogram& entry : histograms) {
-    fingerprint += entry.name + ":" + std::to_string(entry.snap.count) + ":" +
-                   std::to_string(entry.snap.sum) + "|";
-  }
-  for (const auto& [name, value] : counters) {
-    fingerprint += name + "=" + std::to_string(value) + "|";
-  }
-  std::lock_guard<std::mutex> lock(latency_report_mu_);
-  if (latency_report_exists_ && fingerprint == last_latency_fingerprint_) {
-    return Status::Ok();
-  }
-
-  const std::string timestamp = FormatSimTimestamp(clock_.now());
-  const auto metric = [&](const std::string& id, double value,
-                          const std::string& property) {
-    return json::Json::Obj({{"MetricId", id},
-                            {"MetricValue", value},
-                            {"MetricProperty", property},
-                            {"Timestamp", timestamp}});
-  };
-  json::Array values;
-  for (const metrics::Registry::NamedHistogram& entry : histograms) {
-    // Latency series record nanoseconds by convention; report milliseconds.
-    // Size-valued series (".records", ".bytes") pass through unscaled.
-    const bool is_ns = (entry.name.size() >= 3 &&
-                        entry.name.compare(entry.name.size() - 3, 3, ".ns") == 0) ||
-                       entry.name.rfind("http.latency.", 0) == 0;
-    const double scale = is_ns ? 1e-6 : 1.0;
-    const std::string property = is_ns ? "milliseconds" : "units";
-    values.push_back(metric(entry.name + ".count",
-                            static_cast<double>(entry.snap.count), "samples"));
-    values.push_back(metric(entry.name + ".p50",
-                            entry.snap.Percentile(0.50) * scale, property));
-    values.push_back(metric(entry.name + ".p95",
-                            entry.snap.Percentile(0.95) * scale, property));
-    values.push_back(metric(entry.name + ".p99",
-                            entry.snap.Percentile(0.99) * scale, property));
-    values.push_back(metric(entry.name + ".mean", entry.snap.mean() * scale, property));
-  }
-  for (const auto& [name, value] : counters) {
-    values.push_back(metric(name, static_cast<double>(value), "count"));
-  }
-  json::Json payload = json::Json::Obj({
-      {"Id", "RequestLatency"},
-      {"Name", "Request latency and stage-timing histograms"},
-      {"ReportSequence", 0},
-      {"MetricValues", json::Json(std::move(values))},
-  });
-  const std::string uri = RequestLatencyReportUri();
-  if (latency_report_exists_ || tree_.Exists(uri)) {
-    OFMF_RETURN_IF_ERROR(tree_.Replace(uri, std::move(payload)));
-  } else {
-    OFMF_RETURN_IF_ERROR(
-        tree_.Create(uri, "#MetricReport.v1_4_2.MetricReport", std::move(payload)));
-    OFMF_RETURN_IF_ERROR(tree_.AddMember(kMetricReports, uri));
-  }
-  latency_report_exists_ = true;
-  last_latency_fingerprint_ = std::move(fingerprint);
-  return Status::Ok();
-}
-
-std::string TelemetryService::TenantQosReportUri() {
-  return std::string(kMetricReports) + "/TenantQoS";
+  const std::string uri = ReportUri(report.GetString("Id"));
+  if (tree_.Exists(uri)) return tree_.Replace(uri, std::move(report));
+  OFMF_RETURN_IF_ERROR(
+      tree_.Create(uri, "#MetricReport.v1_4_2.MetricReport", std::move(report)));
+  return tree_.AddMember(kMetricReports, uri);
 }
 
 void TelemetryService::SetTenantQosSource(
     std::function<std::vector<qos::TenantStats>()> source) {
-  std::lock_guard<std::mutex> lock(tenant_report_mu_);
+  std::lock_guard<std::mutex> lock(mu_);
   tenant_qos_source_ = std::move(source);
 }
 
-Status TelemetryService::UpdateTenantQosReport() {
-  std::function<std::vector<qos::TenantStats>()> source;
-  {
-    std::lock_guard<std::mutex> lock(tenant_report_mu_);
-    source = tenant_qos_source_;
-  }
-  std::vector<qos::TenantStats> tenants;
-  if (source) tenants = source();
-
-  // Per-tenant latency lives in the shared registry under a fixed prefix so
-  // the reactor never needs a back-pointer into telemetry.
-  static constexpr const char* kTenantLatencyPrefix = "http.tenant.";
-  std::vector<metrics::Registry::NamedHistogram> latency;
-  for (metrics::Registry::NamedHistogram& entry :
-       metrics::Registry::instance().HistogramSnapshots()) {
-    if (entry.name.rfind(kTenantLatencyPrefix, 0) == 0) {
-      latency.push_back(std::move(entry));
-    }
-  }
-
-  std::string fingerprint;
-  for (const qos::TenantStats& tenant : tenants) {
-    fingerprint += tenant.id + ":" + std::to_string(tenant.weight) + ":" +
-                   std::to_string(tenant.queued) + ":" +
-                   std::to_string(tenant.admitted) + ":" +
-                   std::to_string(tenant.dispatched) + ":" +
-                   std::to_string(tenant.rate_limited) + ":" +
-                   std::to_string(tenant.queue_rejected) + "|";
-  }
-  for (const metrics::Registry::NamedHistogram& entry : latency) {
-    fingerprint += entry.name + ":" + std::to_string(entry.snap.count) + ":" +
-                   std::to_string(entry.snap.sum) + "|";
-  }
-  std::lock_guard<std::mutex> lock(tenant_report_mu_);
-  if (tenant_report_exists_ && fingerprint == last_tenant_fingerprint_) {
-    return Status::Ok();
-  }
-
-  const std::string timestamp = FormatSimTimestamp(clock_.now());
-  const auto counter = [&](const std::string& id, double value,
-                           const std::string& property) {
-    return json::Json::Obj({{"MetricId", id},
-                            {"MetricValue", value},
-                            {"MetricProperty", property},
-                            {"Timestamp", timestamp}});
-  };
-  json::Array values;
-  json::Array tenant_objs;
-  for (const qos::TenantStats& tenant : tenants) {
-    values.push_back(counter("QueueDepth." + tenant.id,
-                             static_cast<double>(tenant.queued), tenant.id));
-    values.push_back(counter("Admitted." + tenant.id,
-                             static_cast<double>(tenant.admitted), tenant.id));
-    values.push_back(counter("Dispatched." + tenant.id,
-                             static_cast<double>(tenant.dispatched), tenant.id));
-    values.push_back(counter("RateLimited." + tenant.id,
-                             static_cast<double>(tenant.rate_limited), tenant.id));
-    values.push_back(counter("QueueRejected." + tenant.id,
-                             static_cast<double>(tenant.queue_rejected), tenant.id));
-    tenant_objs.push_back(json::Json::Obj(
-        {{"Tenant", tenant.id},
-         {"Weight", static_cast<std::int64_t>(tenant.weight)},
-         {"QueueDepth", static_cast<std::int64_t>(tenant.queued)},
-         {"Admitted", static_cast<std::int64_t>(tenant.admitted)},
-         {"Dispatched", static_cast<std::int64_t>(tenant.dispatched)},
-         {"RateLimited", static_cast<std::int64_t>(tenant.rate_limited)},
-         {"QueueRejected", static_cast<std::int64_t>(tenant.queue_rejected)}}));
-  }
-  for (const metrics::Registry::NamedHistogram& entry : latency) {
-    values.push_back(counter(entry.name + ".count",
-                             static_cast<double>(entry.snap.count), "samples"));
-    values.push_back(counter(entry.name + ".p50",
-                             entry.snap.Percentile(0.50) * 1e-6, "milliseconds"));
-    values.push_back(counter(entry.name + ".p95",
-                             entry.snap.Percentile(0.95) * 1e-6, "milliseconds"));
-    values.push_back(counter(entry.name + ".p99",
-                             entry.snap.Percentile(0.99) * 1e-6, "milliseconds"));
-  }
-  json::Json payload = json::Json::Obj({
-      {"Id", "TenantQoS"},
-      {"Name", "Per-tenant fair-scheduling and admission state"},
-      {"ReportSequence", 0},
-      {"MetricValues", json::Json(std::move(values))},
-      {"Oem",
-       json::Json::Obj({{"Ofmf", json::Json::Obj({{"Tenants", json::Json(std::move(
-                                                       tenant_objs))}})}})},
-  });
-  const std::string uri = TenantQosReportUri();
-  if (tenant_report_exists_ || tree_.Exists(uri)) {
-    OFMF_RETURN_IF_ERROR(tree_.Replace(uri, std::move(payload)));
-  } else {
-    OFMF_RETURN_IF_ERROR(
-        tree_.Create(uri, "#MetricReport.v1_4_2.MetricReport", std::move(payload)));
-    OFMF_RETURN_IF_ERROR(tree_.AddMember(kMetricReports, uri));
-  }
-  tenant_report_exists_ = true;
-  last_tenant_fingerprint_ = std::move(fingerprint);
-  return Status::Ok();
+std::vector<qos::TenantStats> TelemetryService::TenantQos() const {
+  std::unique_lock<std::mutex> lock(mu_);
+  const std::function<std::vector<qos::TenantStats>()> source = tenant_qos_source_;
+  lock.unlock();  // the source takes the scheduler's locks
+  return source ? source() : std::vector<qos::TenantStats>{};
 }
 
 Result<json::Json> TelemetryService::GetReport(const std::string& report_id) const {
-  return tree_.Get(std::string(kMetricReports) + "/" + report_id);
+  return tree_.Get(ReportUri(report_id));
 }
 
 std::vector<std::string> TelemetryService::ReportIds() const {
@@ -492,6 +102,135 @@ std::vector<std::string> TelemetryService::ReportIds() const {
     ids.push_back(uri.substr(std::string(kMetricReports).size() + 1));
   }
   return ids;
+}
+
+json::Json ResponseCacheReport(const redfish::ResponseCacheStats& stats) {
+  json::Array values;
+  redfish::AppendCacheMetrics(stats, "/redfish/v1 read path", values);
+  return redfish::MetricReport("ResponseCache", "Read-path serialized-response cache counters",
+                               std::move(values));
+}
+
+json::Json BreakerStates(const ResilienceSnapshot& snapshot) {
+  json::Array breakers;
+  for (const ResilienceSnapshot::FabricBreaker& breaker : snapshot.breakers) {
+    breakers.push_back(json::Json::Obj({{"FabricId", breaker.fabric_id},
+                                        {"State", to_string(breaker.state)},
+                                        {"Degraded", breaker.degraded}}));
+  }
+  return json::Json(std::move(breakers));
+}
+
+json::Json ResilienceReport(const ResilienceSnapshot& snapshot) {
+  json::Array values;
+  values.push_back(Metric("ReplayedPosts", snapshot.replayed_posts, "idempotency replay cache"));
+  for (const ResilienceSnapshot::FabricBreaker& breaker : snapshot.breakers) {
+    const BreakerStats& stats = breaker.stats;
+    const std::pair<const char*, std::uint64_t> series[] = {
+        {"BreakerSuccesses.", stats.successes}, {"BreakerFailures.", stats.failures},
+        {"BreakerRejected.", stats.rejected},   {"BreakerOpens.", stats.opens},
+        {"BreakerCloses.", stats.closes}};
+    for (const auto& [prefix, value] : series) {
+      values.push_back(Metric(prefix + breaker.fabric_id, value, FabricUri(breaker.fabric_id)));
+    }
+  }
+  return redfish::MetricReport("Resilience", "Circuit breaker and retry counters",
+                               std::move(values),
+                               json::Json::Obj({{"Breakers", BreakerStates(snapshot)}}));
+}
+
+json::Json RequestLatencyReport() {
+  metrics::Registry& registry = metrics::Registry::instance();
+  json::Array values;
+  for (const metrics::Registry::NamedHistogram& entry : registry.HistogramSnapshots()) {
+    redfish::AppendHistogramMetrics(entry.name, entry.snap, values);
+  }
+  for (const auto& [name, value] : registry.CounterValues()) {
+    values.push_back(Metric(name, value, "count"));
+  }
+  return redfish::MetricReport("RequestLatency", "Request latency and stage-timing histograms",
+                               std::move(values));
+}
+
+json::Json DeliverySection(const DeliverySnapshot& snapshot) {
+  return json::Json::Obj({{"Delivered", snapshot.delivered},
+                          {"Batches", snapshot.batches},
+                          {"Coalesced", snapshot.coalesced},
+                          {"Dropped", snapshot.dropped},
+                          {"Retries", snapshot.retries},
+                          {"Failures", snapshot.failures},
+                          {"QueuedEvents", snapshot.total_queued},
+                          {"BreakersOpen", snapshot.breakers_open},
+                          {"Streams", snapshot.streams}});
+}
+
+json::Json EventDeliveryReport(const DeliverySnapshot& snapshot) {
+  const char* engine = "event delivery engine";
+  json::Array values;
+  redfish::AppendDeliveryTotals(DeliverySection(snapshot), engine, values);
+  values.push_back(Metric("MaxQueueDepth", snapshot.max_queue_depth, engine));
+  values.push_back(Metric("MaxCursorLag", snapshot.max_cursor_lag, engine));
+  json::Array subscribers;
+  for (const SubscriberSnapshot& sub : snapshot.subscribers) {
+    // Oem field, MetricValues series (nullptr: Oem only), value.
+    const std::tuple<const char*, const char*, std::uint64_t> fields[] = {
+        {"QueueDepth", "QueueDepth.", sub.queue_depth},
+        {"Enqueued", "Queued.", sub.enqueued},
+        {"Delivered", "Delivered.", sub.delivered},
+        {"Batches", nullptr, sub.batches},
+        {"Coalesced", nullptr, sub.coalesced},
+        {"Dropped", "Dropped.", sub.dropped},
+        {"Retries", "Retries.", sub.retries},
+        {"Failures", nullptr, sub.failures},
+        {"AckedSequence", nullptr, sub.acked_sequence},
+        {"CursorLag", "CursorLag.", sub.cursor_lag},
+        {"BreakerOpens", nullptr, sub.breaker_stats.opens},
+        {"BreakerCloses", nullptr, sub.breaker_stats.closes},
+        {"BreakerRejected", nullptr, sub.breaker_stats.rejected}};
+    json::Json entry = json::Json::Obj({{"Subscription", sub.uri},
+                                        {"Destination", sub.destination},
+                                        {"Stream", sub.stream},
+                                        {"BreakerState", to_string(sub.breaker_state)}});
+    for (const auto& [field, series, value] : fields) {
+      entry.as_object().Set(field, value);
+      if (series != nullptr) values.push_back(Metric(series + sub.uri, value, sub.uri));
+    }
+    const bool open = sub.breaker_state != BreakerState::kClosed;
+    values.push_back(Metric("BreakerOpen." + sub.uri, open ? 1.0 : 0.0, sub.uri));
+    subscribers.push_back(std::move(entry));
+  }
+  return redfish::MetricReport(
+      "EventDelivery", "Event fan-out delivery state", std::move(values),
+      json::Json::Obj({{"LastSequence", snapshot.last_sequence},
+                       {"Subscribers", json::Json(std::move(subscribers))}}));
+}
+
+json::Json TenantQosReport(const std::vector<qos::TenantStats>& tenants) {
+  json::Array values;
+  json::Array tenant_objs;
+  for (const qos::TenantStats& tenant : tenants) {
+    const std::pair<const char*, std::uint64_t> counters[] = {
+        {"QueueDepth", tenant.queued},     {"Admitted", tenant.admitted},
+        {"Dispatched", tenant.dispatched}, {"RateLimited", tenant.rate_limited},
+        {"QueueRejected", tenant.queue_rejected}};
+    json::Json entry = json::Json::Obj({{"Tenant", tenant.id}, {"Weight", tenant.weight}});
+    for (const auto& [name, value] : counters) {
+      entry.as_object().Set(name, value);
+      values.push_back(Metric(name + ("." + tenant.id), value, tenant.id));
+    }
+    tenant_objs.push_back(std::move(entry));
+  }
+  // Per-tenant latency lives in the shared registry under a fixed prefix so
+  // the reactor never needs a back-pointer into telemetry.
+  for (const metrics::Registry::NamedHistogram& entry :
+       metrics::Registry::instance().HistogramSnapshots()) {
+    if (entry.name.rfind("http.tenant.", 0) == 0) {
+      redfish::AppendHistogramMetrics(entry.name, entry.snap, values);
+    }
+  }
+  return redfish::MetricReport(
+      "TenantQoS", "Per-tenant fair-scheduling and admission state", std::move(values),
+      json::Json::Obj({{"Tenants", json::Json(std::move(tenant_objs))}}));
 }
 
 }  // namespace ofmf::core

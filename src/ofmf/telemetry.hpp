@@ -1,10 +1,13 @@
 // TelemetryService: the "subscription-based central repository for telemetry
 // information". Agents push MetricReports (power, port counters, pool
 // utilization); clients read them from the tree or subscribe to
-// MetricReport events.
+// MetricReport events. The service also publishes its own, service-internal
+// reports (cache, resilience, latency, event delivery, tenant QoS) quietly,
+// through Publish(); the renderers for those are declared below.
 #pragma once
 
 #include <functional>
+#include <map>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -52,86 +55,42 @@ class TelemetryService {
   Result<json::Json> GetReport(const std::string& report_id) const;
   std::vector<std::string> ReportIds() const;
 
-  /// Creates-or-replaces the "ResponseCache" MetricReport with the read-path
-  /// cache counters (hits, misses, evictions, invalidations, hit rate).
-  /// Quiet: no-op when the counters are unchanged since the last push, and
-  /// never fires a MetricReport event (the report mirrors service-internal
-  /// state rather than hardware telemetry).
-  Status UpdateResponseCacheReport(const redfish::ResponseCacheStats& stats);
+  /// Creates-or-replaces a service-internal report (a redfish::MetricReport,
+  /// keyed by its Id) quietly: no MetricReport event, and a no-op when its
+  /// MetricValues and Oem equal what was last published, so an unchanged
+  /// report keeps its ETag. Timestamps are stamped here, after the compare.
+  Status Publish(json::Json report);
+  static std::string ReportUri(const std::string& report_id);
 
-  /// URI of the read-path cache report.
-  static std::string ResponseCacheReportUri();
-
-  /// Creates-or-replaces the "Resilience" MetricReport with per-agent
-  /// breaker state/counters and the POST replay-cache counter. Quiet like
-  /// UpdateResponseCacheReport: no event, no-op when nothing moved.
-  Status UpdateResilienceReport(const ResilienceSnapshot& snapshot);
-
-  /// URI of the resilience (breaker/retry) report.
-  static std::string ResilienceReportUri();
-
-  /// Creates-or-replaces the "RequestLatency" MetricReport from the global
-  /// metrics registry: per-endpoint HTTP latency, compose/decompose stage
-  /// timings, journal fsync/batch, and agent-call histograms, each reported
-  /// as count plus p50/p95/p99 (milliseconds for the *.ns series). Quiet:
-  /// the fingerprint covers only (count, sum) pairs and counter values, so a
-  /// scrape with no intervening traffic leaves the report — and its ETag —
-  /// untouched.
-  Status UpdateRequestLatencyReport();
-
-  /// URI of the latency-histogram report.
-  static std::string RequestLatencyReportUri();
-
-  /// Creates-or-replaces the "EventDelivery" MetricReport with the event
-  /// fan-out engine's state: per-subscriber queue depth, drops, retries,
-  /// failures, cursor lag, and breaker state, plus fleet-wide totals.
-  /// Quiet like the other service-internal reports: no event, no-op when
-  /// nothing moved.
-  Status UpdateEventDeliveryReport(const DeliverySnapshot& snapshot);
-
-  /// URI of the event fan-out delivery report.
-  static std::string EventDeliveryReportUri();
-
-  /// Where the TenantQoS report pulls scheduler counters from (the reactor's
-  /// TcpServer::TenantQosStats, wired by whoever owns both). Null = the
-  /// report carries only the per-tenant latency histograms.
+  /// Where TenantQos() pulls per-tenant scheduler counters from (the
+  /// reactor's TcpServer::TenantQosStats, wired by whoever owns both); none
+  /// by default, and then the TenantQoS report has only the latency series.
   void SetTenantQosSource(std::function<std::vector<qos::TenantStats>()> source);
-
-  /// Creates-or-replaces the "TenantQoS" MetricReport: per-tenant scheduler
-  /// counters (admitted/dispatched/429s/queue depth, DRR weight) from the
-  /// source plus per-tenant request-latency percentiles from the metrics
-  /// registry ("http.tenant.<id>.latency.ns"). Quiet like the other
-  /// service-internal reports: no event, no-op when nothing moved.
-  Status UpdateTenantQosReport();
-
-  /// URI of the multi-tenant QoS report.
-  static std::string TenantQosReportUri();
+  std::vector<qos::TenantStats> TenantQos() const;
 
  private:
   redfish::ResourceTree& tree_;
   EventService& events_;
   SimClock& clock_;
 
-  std::mutex cache_report_mu_;
-  redfish::ResponseCacheStats last_cache_stats_;
-  bool cache_report_exists_ = false;
-
-  std::mutex resilience_report_mu_;
-  std::string last_resilience_fingerprint_;
-  bool resilience_report_exists_ = false;
-
-  std::mutex latency_report_mu_;
-  std::string last_latency_fingerprint_;
-  bool latency_report_exists_ = false;
-
-  std::mutex delivery_report_mu_;
-  std::string last_delivery_fingerprint_;
-  bool delivery_report_exists_ = false;
-
-  std::mutex tenant_report_mu_;
+  mutable std::mutex mu_;
+  std::map<std::string, json::Json> published_;  // id -> last content, no timestamps
   std::function<std::vector<qos::TenantStats>()> tenant_qos_source_;
-  std::string last_tenant_fingerprint_;
-  bool tenant_report_exists_ = false;
+
+  Status Write(json::Json report);  // stamps Timestamps, creates or replaces
 };
+
+// Renderers of the five service-internal reports (Id in the name), plus the
+// pieces the service's MetricsDump and health stats share with them: the
+// Oem breaker states and the dump's "EventDelivery" section, whose totals
+// add across shards. RequestLatency and TenantQoS read the metrics registry;
+// TenantQoS takes the per-tenant histograms "http.tenant.<id>.latency.ns".
+json::Json ResponseCacheReport(const redfish::ResponseCacheStats& stats);
+json::Json ResilienceReport(const ResilienceSnapshot& snapshot);
+json::Json RequestLatencyReport();
+json::Json EventDeliveryReport(const DeliverySnapshot& snapshot);
+json::Json TenantQosReport(const std::vector<qos::TenantStats>& tenants);
+json::Json BreakerStates(const ResilienceSnapshot& snapshot);
+json::Json DeliverySection(const DeliverySnapshot& snapshot);
 
 }  // namespace ofmf::core

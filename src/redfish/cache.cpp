@@ -91,10 +91,16 @@ void ResponseCache::Insert(const std::string& uri, const std::string& etag,
   shard.entries[key] = Entry{std::move(entry), shard.lru.begin()};
 }
 
-void ResponseCache::InvalidateUriInShard(Shard& shard, const std::string& uri) {
+void ResponseCache::InvalidateUriInShard(Shard& shard, const std::string& uri,
+                                         bool queried_only) {
   const std::string prefix = uri + '\n';
   auto it = shard.entries.lower_bound(prefix);
   while (it != shard.entries.end() && it->first.compare(0, prefix.size(), prefix) == 0) {
+    // A key ending in '\n' has no query: that body is the resource alone.
+    if (queried_only && it->first.back() == '\n') {
+      ++it;
+      continue;
+    }
     shard.lru.erase(it->second.lru_it);
     it = shard.entries.erase(it);
     ++shard.stats.invalidations;
@@ -103,7 +109,7 @@ void ResponseCache::InvalidateUriInShard(Shard& shard, const std::string& uri) {
 
 void ResponseCache::Invalidate(const std::string& changed_uri) {
   std::string uri = changed_uri;
-  while (true) {
+  for (bool ancestor = false;; ancestor = true) {
     Shard& shard = ShardFor(uri);
     {
       std::lock_guard<std::mutex> lock(shard.mu);
@@ -117,7 +123,7 @@ void ResponseCache::Invalidate(const std::string& changed_uri) {
         shard.lru.clear();
       } else {
         shard.invalidated_at[uri] = shard.generation;
-        InvalidateUriInShard(shard, uri);
+        InvalidateUriInShard(shard, uri, /*queried_only=*/ancestor);
       }
     }
     if (uri == "/" || uri.empty()) break;

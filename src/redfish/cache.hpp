@@ -4,9 +4,11 @@
 // the paper's management layer must absorb — skip the deep copy, the OData
 // query evaluation, and the JSON serialization entirely.
 //
-// Invalidation: a mutation of URI U invalidates U and every ancestor of U,
-// because collection responses ($expand, $filter) embed member documents
-// whose changes do not bump the collection's own ETag. A per-shard
+// Invalidation: a mutation of URI U invalidates U, and the query-shaped
+// bodies ($expand, $filter, paging) of every ancestor of U, because those
+// embed member documents whose changes do not bump the ancestor's own ETag.
+// An ancestor's plain body is its own document alone: a change to it
+// notifies its own URI (adding a member rewrites the collection). A per-shard
 // generation counter closes the insert/invalidate race: a body built from a
 // snapshot taken before an invalidation is rejected at insert time, so a
 // cached body always matches the state its ETag names.
@@ -73,8 +75,9 @@ class ResponseCache {
   void Insert(const std::string& uri, const std::string& etag, const std::string& query,
               CachedResponse entry, std::uint64_t read_generation);
 
-  /// Drops every entry for `changed_uri` and for each of its ancestors
-  /// (collection bodies embed member state). Bumps the generation fences.
+  /// Drops every entry for `changed_uri` and the entries with a query of
+  /// each of its ancestors (those embed member state). Bumps the generation
+  /// fences.
   void Invalidate(const std::string& changed_uri);
 
   void Clear();
@@ -119,7 +122,7 @@ class ResponseCache {
                              const std::string& query);
 
   Shard& ShardFor(const std::string& uri) const;
-  void InvalidateUriInShard(Shard& shard, const std::string& uri);
+  void InvalidateUriInShard(Shard& shard, const std::string& uri, bool queried_only);
   void ClearShardLocked(Shard& shard);
 
   std::size_t capacity_;          // total; split evenly across shards

@@ -165,18 +165,19 @@ http::Response RedfishService::HandleGet(const http::Request& request) {
   const std::string& etag = snapshot->etag;
 
   const std::string query = NormalizeQuery(request.query);
+  const bool use_cache = path != uncached_uri_;
+  const std::optional<CachedResponse> cached =
+      use_cache ? cache_.Lookup(path, etag, query) : std::nullopt;
 
   // Conditional GET: a cache hit answers with the pre-serialized 304 head.
   const std::string if_none_match = request.headers.GetOr("If-None-Match", "");
   if (!if_none_match.empty() && ETagMatches(if_none_match, etag)) {
     http::Response not_modified = NotModifiedResponse(etag);
-    if (std::optional<CachedResponse> cached = cache_.Lookup(path, etag, query)) {
-      not_modified.set_wire_head(cached->head304);
-    }
+    if (cached) not_modified.set_wire_head(cached->head304);
     return not_modified;
   }
 
-  if (std::optional<CachedResponse> cached = cache_.Lookup(path, etag, query)) {
+  if (cached) {
     // Zero-copy hit: the response views the cached slab, and the attached
     // head slab means the transport serializes nothing. The header map is
     // still populated for in-process callers.
@@ -202,7 +203,7 @@ http::Response RedfishService::HandleGet(const http::Request& request) {
   SetGetHeaders(response, etag);
   auto head200 = std::make_shared<const std::string>(
       http::SerializeResponseHead(response, body_slab->size()));
-  if (cacheable) {
+  if (use_cache && cacheable) {
     const http::Response not_modified = NotModifiedResponse(etag);
     auto head304 = std::make_shared<const std::string>(
         http::SerializeResponseHead(not_modified, 0));
@@ -237,7 +238,9 @@ http::Response RedfishService::HandleHead(const http::Request& request) {
   // without building or serializing a body that would be thrown away.
   const std::string query = NormalizeQuery(request.query);
   std::size_t content_length = 0;
-  if (std::optional<CachedResponse> cached = cache_.Lookup(path, etag, query)) {
+  std::optional<CachedResponse> cached;
+  if (path != uncached_uri_) cached = cache_.Lookup(path, etag, query);
+  if (cached) {
     content_length = cached->body->size();
   } else {
     http::Request as_get = request;

@@ -9,6 +9,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <utility>
 
 #include "http/message.hpp"
 #include "http/server.hpp"
@@ -69,6 +70,11 @@ class RedfishService {
   ResponseCache& response_cache() { return cache_; }
   const ResponseCache& response_cache() const { return cache_; }
 
+  /// GET/HEAD of `uri` bypass the response cache. For a document that counts
+  /// the cache's own lookups: cached, each read of it would change it. Call
+  /// before serving.
+  void SetUncachedUri(std::string uri) { uncached_uri_ = std::move(uri); }
+
  private:
   http::Response HandleGet(const http::Request& request);
   http::Response HandleHead(const http::Request& request);
@@ -92,6 +98,7 @@ class RedfishService {
   SchemaRegistry registry_;
   ResponseCache cache_;
   std::uint64_t cache_subscription_ = 0;
+  std::string uncached_uri_;  // written once, before serving
   std::map<std::string, std::pair<std::string, Factory>> factories_;
   std::map<std::string, ActionHandler> actions_;
   std::map<std::string, DeleteHook> delete_hooks_;

@@ -205,7 +205,7 @@ TEST_F(ChaosTest, ComposeChurnUnderLossyTransportLeaksNothing) {
   // The churn must leave legible latency telemetry behind: the
   // RequestLatency MetricReport carries non-zero p50/p99 for the Systems
   // endpoint the churn hammered (GET of the report refreshes it lazily).
-  auto latency_report = client_->Get(core::TelemetryService::RequestLatencyReportUri());
+  auto latency_report = client_->Get(core::TelemetryService::ReportUri("RequestLatency"));
   ASSERT_TRUE(latency_report.ok()) << latency_report.status().message();
   double systems_p50 = 0.0, systems_p99 = 0.0;
   for (const Json& value : latency_report->at("MetricValues").as_array()) {
@@ -240,7 +240,7 @@ TEST_F(ChaosTest, AgentCrashWindowBreakerReclosesAndReportIsPublished) {
   EXPECT_GE(breaker->stats().closes, 1u);
   EXPECT_FALSE(ofmf_.FabricDegraded("IB"));
 
-  const Json report = *client_->Get(core::TelemetryService::ResilienceReportUri());
+  const Json report = *client_->Get(core::TelemetryService::ReportUri("Resilience"));
   double opens = 0;
   for (const Json& value : report.at("MetricValues").as_array()) {
     if (value.GetString("MetricId") == "BreakerOpens.IB") {

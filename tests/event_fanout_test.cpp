@@ -321,6 +321,40 @@ TEST(EventFanoutTest, BacklogCoalescesIntoOneBatchPost) {
   EXPECT_EQ(snapshot.delivered, 9u);
 }
 
+// ------------------------------------------- Report reads stay silent ---
+
+TEST(EventFanoutTest, EventDeliveryReportScrapePublishesNoEvent) {
+  // A subscriber with no EventTypes filter matches the ResourceUpdated a
+  // report rewrite would fire. If reading the EventDelivery report published
+  // one, the delivery would move the report's counters, so every scrape
+  // would rewrite it and cost the subscriber one more event, without end.
+  GateSink sink;
+  core::OfmfService ofmf;
+  ASSERT_TRUE(ofmf.Bootstrap().ok());
+  ofmf.events().set_client_factory(sink.factory());
+  const std::string report_uri = core::TelemetryService::ReportUri("EventDelivery");
+  // Create the report first: adding it to the MetricReports collection is a
+  // one-time membership change, published like any other.
+  ASSERT_EQ(ofmf.Handle(http::MakeRequest(http::Method::kGet, report_uri)).status, 200);
+  ASSERT_TRUE(SubscribeWire(ofmf, "http://sink/events").ok());
+  ASSERT_TRUE(ofmf.events().FlushDelivery());
+  const std::uint64_t published = ofmf.events().published_count();
+  const int calls = sink.calls();
+
+  const http::Response first = ofmf.Handle(http::MakeRequest(http::Method::kGet, report_uri));
+  ASSERT_EQ(first.status, 200);
+  const std::string etag = first.headers.GetOr("ETag", "");
+  ASSERT_TRUE(ofmf.events().FlushDelivery());
+  http::Request conditional = http::MakeRequest(http::Method::kGet, report_uri);
+  conditional.headers.Set("If-None-Match", etag);
+  for (int scrape = 0; scrape < 5; ++scrape) {
+    EXPECT_EQ(ofmf.Handle(conditional).status, 304) << "scrape " << scrape;
+    ASSERT_TRUE(ofmf.events().FlushDelivery());
+  }
+  EXPECT_EQ(ofmf.events().published_count(), published);
+  EXPECT_EQ(sink.calls(), calls);
+}
+
 // ------------------------------------------------------------ SSE streams ---
 
 TEST(EventFanoutTest, SseStreamDeliversFramesAndDetachesOnDisconnect) {

@@ -18,6 +18,7 @@
 #include "common/trace.hpp"
 #include "federation/directory.hpp"
 #include "federation/directory_client.hpp"
+#include "federation/fleet.hpp"
 #include "federation/router.hpp"
 #include "federation/routing.hpp"
 #include "http/resilience.hpp"
@@ -670,6 +671,28 @@ TEST_F(FederationFixture, FleetTelemetryMergesShardDumpsAndServesHealth) {
   GetJson(std::string(core::kMetricReports) + "/NoSuchReport", 404);
 }
 
+TEST(FleetMetricsTest, NegativeWireIntegersDoNotWrapFleetTotals) {
+  // One shard answering -1 must not add 2^64-1 to a fleet counter, bucket,
+  // sum or section total; it counts as 0.
+  const auto dump = [](std::int64_t v) {
+    return Json::Obj(
+        {{"Histograms",
+          Json::Arr({Json::Obj({{"Name", "h"}, {"Sum", 10 * v}, {"Buckets", Json::Arr({v, 2 * v})}})})},
+         {"Counters", Json::Arr({Json::Obj({{"Name", "c"}, {"Value", 5 * v}})})},
+         {"ResponseCache", Json::Obj({{"Hits", 4 * v}})}});
+  };
+  federation::FleetMetrics fleet;
+  fleet.Absorb("good", dump(1));
+  fleet.Absorb("broken", dump(-1));
+  EXPECT_EQ(fleet.counters().at("c"), 5u);
+  const metrics::Histogram::Snapshot& h = fleet.histograms().at("h");
+  EXPECT_EQ(h.buckets[0], 1u);
+  EXPECT_EQ(h.buckets[1], 2u);
+  EXPECT_EQ(h.sum, 10u);
+  EXPECT_EQ(h.count, 3u);
+  EXPECT_EQ(fleet.ToJson().at("ResponseCache").GetInt("Hits"), 4);
+}
+
 TEST(DirectoryTest, HeartbeatCarriesOptionalStatsIntoTable) {
   DirectoryService directory;
   directory.Register("s1", 8081);
@@ -763,7 +786,7 @@ TEST(FederationDeliveryTest, DeliveryReportCarriesPerSubscriberCounters) {
   // GET of the report refreshes it lazily from the live snapshot.
   http::InProcessClient client(ofmf.Handler());
   const auto response = client.Send(http::MakeRequest(
-      http::Method::kGet, core::TelemetryService::EventDeliveryReportUri()));
+      http::Method::kGet, core::TelemetryService::ReportUri("EventDelivery")));
   ASSERT_TRUE(response.ok());
   ASSERT_EQ(response.value().status, 200);
   const auto report = json::Parse(response.value().body.view());

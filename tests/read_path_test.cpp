@@ -171,6 +171,27 @@ TEST_F(ReadPathService, CollectionBodyInvalidatedByMemberChange) {
   EXPECT_THAT(after.body, ::testing::HasSubstr("77"));
 }
 
+TEST_F(ReadPathService, PlainAncestorBodySurvivesMemberChange) {
+  // The plain collection body lists member links only, so a member write
+  // leaves it cached; adding a member rewrites the collection itself.
+  ResponseCache& cache = service_.response_cache();
+  (void)Get("/redfish/v1/Fabrics");
+  const std::uint64_t invalidations = cache.stats().invalidations;
+
+  ASSERT_TRUE(tree_.Patch("/redfish/v1/Fabrics/f", Json::Obj({{"MaxZones", 5}})).ok());
+  EXPECT_EQ(cache.stats().invalidations, invalidations);
+  const std::uint64_t hits = cache.stats().hits;
+  (void)Get("/redfish/v1/Fabrics");
+  EXPECT_EQ(cache.stats().hits, hits + 1);
+
+  ASSERT_TRUE(tree_.Create("/redfish/v1/Fabrics/g", "#Fabric.v1_3_0.Fabric",
+                           Json::Obj({{"Id", "g"}}))
+                  .ok());
+  ASSERT_TRUE(tree_.AddMember("/redfish/v1/Fabrics", "/redfish/v1/Fabrics/g").ok());
+  const http::Response after = Get("/redfish/v1/Fabrics");
+  EXPECT_THAT(after.body, ::testing::HasSubstr("/redfish/v1/Fabrics/g"));
+}
+
 TEST_F(ReadPathService, DisabledCacheStillServesCorrectBodies) {
   service_.response_cache().set_enabled(false);
   const http::Response first = Get("/redfish/v1/Fabrics/f");

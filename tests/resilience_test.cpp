@@ -389,7 +389,7 @@ TEST_F(ResilientServiceTest, AgentCrashOpensBreakerDegradesAndRecovers) {
   EXPECT_GT(stats.rejected, 0u);
 
   // The counters surface over Redfish as the Resilience MetricReport.
-  const Json report = *client_->Get(core::TelemetryService::ResilienceReportUri());
+  const Json report = *client_->Get(core::TelemetryService::ReportUri("Resilience"));
   bool saw_opens_metric = false;
   for (const Json& value : report.at("MetricValues").as_array()) {
     if (value.GetString("MetricId") == "BreakerOpens.IB") {

@@ -459,11 +459,17 @@ TEST_F(TraceTest, ExhaustedRetriesStillFormOneConnectedTree) {
   }
 }
 
-/// Two scrapes with no traffic in between must be byte-identical: the
-/// MetricReports subtree is excluded from the endpoint histograms, the
-/// quiet-update fingerprint suppresses the patch, the ETag holds, and the
-/// conditional re-GET comes back 304.
-TEST_F(TraceTest, RequestLatencyReportETagStableAcrossScrapes) {
+/// Scrapes with no traffic in between must leave a report untouched: the
+/// MetricReports subtree is kept out of the endpoint histograms, the
+/// ResponseCache report out of the response cache, reading a report
+/// publishes no event, writing one leaves the cached service root in place,
+/// and an unchanged content is not rewritten, so the ETag holds and every
+/// conditional re-GET comes back 304. Traffic the report counts then moves
+/// the ETag.
+class TraceReportTest : public TraceTest,
+                        public ::testing::WithParamInterface<const char*> {};
+
+TEST_P(TraceReportTest, ReportETagStableAcrossScrapes) {
   core::OfmfService ofmf;
   ASSERT_TRUE(ofmf.Bootstrap().ok());
 
@@ -474,7 +480,8 @@ TEST_F(TraceTest, RequestLatencyReportETagStableAcrossScrapes) {
     ASSERT_EQ(probe.status, 200);
   }
 
-  const std::string report_uri = core::TelemetryService::RequestLatencyReportUri();
+  // The first read creates the report; every read after it must be silent.
+  const std::string report_uri = core::TelemetryService::ReportUri(GetParam());
   const http::Response first =
       ofmf.Handle(http::MakeRequest(http::Method::kGet, report_uri));
   ASSERT_EQ(first.status, 200);
@@ -483,39 +490,50 @@ TEST_F(TraceTest, RequestLatencyReportETagStableAcrossScrapes) {
 
   http::Request conditional = http::MakeRequest(http::Method::kGet, report_uri);
   conditional.headers.Set("If-None-Match", etag);
-  const http::Response second = ofmf.Handle(conditional);
-  EXPECT_EQ(second.status, 304) << "scrape must not perturb its own report";
-  EXPECT_EQ(second.headers.GetOr("ETag", ""), etag);
+  for (int scrape = 0; scrape < 5; ++scrape) {
+    const http::Response again = ofmf.Handle(conditional);
+    EXPECT_EQ(again.status, 304) << "scrape " << scrape << " perturbed its own report";
+    EXPECT_EQ(again.headers.GetOr("ETag", ""), etag);
+  }
 
-  // New traffic moves the histograms; the next scrape republished.
-  const http::Response churn =
-      ofmf.Handle(http::MakeRequest(http::Method::kGet, core::kSystems));
-  ASSERT_EQ(churn.status, 200);
-  const http::Response third = ofmf.Handle(conditional);
-  EXPECT_EQ(third.status, 200);
-  EXPECT_NE(third.headers.GetOr("ETag", ""), etag);
+  // Traffic every report counts: a GET (latency, cache miss), a replayed
+  // POST (Resilience), a new subscriber (EventDelivery) and a tenant latency
+  // sample (TenantQoS). The next scrape republishes.
+  ASSERT_EQ(ofmf.Handle(http::MakeRequest(http::Method::kGet, core::kSystems)).status, 200);
+  http::Request subscribe = http::MakeJsonRequest(
+      http::Method::kPost, core::kSubscriptions,
+      Json::Obj({{"Destination", "http://sink/events"}, {"Protocol", "Redfish"}}));
+  subscribe.headers.Set("X-Request-Id", "etag-churn");
+  ASSERT_EQ(ofmf.Handle(subscribe).status, 201);
+  ASSERT_EQ(ofmf.Handle(subscribe).status, 201);  // answered from the replay cache
+  metrics::Registry::instance().histogram("http.tenant.churn.latency.ns").Record(1000);
+  const http::Response moved = ofmf.Handle(conditional);
+  EXPECT_EQ(moved.status, 200);
+  EXPECT_NE(moved.headers.GetOr("ETag", ""), etag);
 }
 
-/// The piggybacked refresh publishes all three reports after enough traffic,
+INSTANTIATE_TEST_SUITE_P(AllInternalReports, TraceReportTest,
+                         ::testing::Values("ResponseCache", "Resilience", "RequestLatency",
+                                           "EventDelivery", "TenantQoS"));
+
+/// The piggybacked refresh publishes all five reports after enough traffic,
 /// without anyone GETting the report URIs (which lazily refresh on read).
 TEST_F(TraceTest, PeriodicRefreshPublishesReportsWithoutScrapes) {
   core::OfmfService ofmf;
   ASSERT_TRUE(ofmf.Bootstrap().ok());
 
   EXPECT_FALSE(
-      ofmf.tree().Get(core::TelemetryService::RequestLatencyReportUri()).ok());
+      ofmf.tree().Get(core::TelemetryService::ReportUri("RequestLatency")).ok());
   // The stride counter is thread-local and shared across services, so any
   // full interval's worth of requests crosses the refresh boundary exactly
   // once, whatever phase the counter started in.
   for (std::uint64_t i = 0; i < core::OfmfService::kReportRefreshInterval; ++i) {
     (void)ofmf.Handle(http::MakeRequest(http::Method::kGet, core::kServiceRoot));
   }
-  EXPECT_TRUE(
-      ofmf.tree().Get(core::TelemetryService::RequestLatencyReportUri()).ok());
-  EXPECT_TRUE(
-      ofmf.tree().Get(core::TelemetryService::ResponseCacheReportUri()).ok());
-  EXPECT_TRUE(
-      ofmf.tree().Get(core::TelemetryService::ResilienceReportUri()).ok());
+  for (const char* report :
+       {"ResponseCache", "Resilience", "RequestLatency", "EventDelivery", "TenantQoS"}) {
+    EXPECT_TRUE(ofmf.tree().Get(core::TelemetryService::ReportUri(report)).ok()) << report;
+  }
 }
 
 TEST_F(TraceTest, MetricsDumpActionReturnsHistogramsCountersAndTraceStats) {
