@@ -271,6 +271,12 @@ Span::Span(const char* name, TraceContext remote) {
   }
 }
 
+Span::Span(const char* name, TraceContext parent, Detached) : detached_(true) {
+  if (!parent.active()) return;
+  Start(name, parent);
+  tls_context = prev_;  // never ambient
+}
+
 void Span::Note(const std::string& note) {
   if (!active_) return;
   if (!rec_.note.empty()) rec_.note += "; ";
@@ -291,7 +297,7 @@ void Span::End() {
   if (!active_) return;
   active_ = false;
   rec_.duration_ns = MonotonicNowNs() - rec_.start_ns;
-  tls_context = prev_;
+  if (!detached_) tls_context = prev_;
   TraceRecorder::instance().Record(std::move(rec_), /*local_root=*/!prev_.active());
 }
 

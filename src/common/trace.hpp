@@ -164,6 +164,14 @@ class Span {
  public:
   explicit Span(const char* name);
   Span(const char* name, TraceContext remote);
+  /// Tag for a span that is never installed as the ambient context.
+  struct Detached {};
+  /// Opens a child of `parent` (a no-op when `parent` is inactive) without
+  /// making it the thread's ambient context, so several can be open on one
+  /// thread at once and end in any order: the legs of a multiplexed
+  /// scatter-gather. Stamp the wire from context(); spans opened meanwhile
+  /// on this thread do not nest under it.
+  Span(const char* name, TraceContext parent, Detached);
   ~Span() { End(); }
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;
@@ -183,6 +191,7 @@ class Span {
   void Start(const char* name, TraceContext parent);
 
   bool active_ = false;
+  bool detached_ = false;
   TraceContext prev_;  // ambient context to restore on End()
   SpanRecord rec_;
 };

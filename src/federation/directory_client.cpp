@@ -82,10 +82,10 @@ Status DirectoryClient::Heartbeat(const std::string& shard_id,
   return Status::Ok();
 }
 
-Result<RoutingTable> DirectoryClient::Table() {
+Result<std::shared_ptr<const RoutingTable>> DirectoryClient::Table() {
   std::lock_guard<std::mutex> lock(mu_);
   const auto now = std::chrono::steady_clock::now();
-  if (have_cache_ &&
+  if (cache_ != nullptr &&
       now - fetched_at_ < std::chrono::milliseconds(max_age_ms_)) {
     return cache_;
   }
@@ -96,7 +96,7 @@ Result<RoutingTable> DirectoryClient::Table() {
   if (trace::Current().active()) span.emplace("directory.revalidate");
   http::Request req = http::MakeRequest(http::Method::kGet, kDirectoryTablePath);
   if (span) StampTrace(req, span->context());
-  if (have_cache_ && !etag_.empty()) {
+  if (cache_ != nullptr && !etag_.empty()) {
     req.headers.Set("If-None-Match", etag_);
     ++revalidations_;
   }
@@ -107,10 +107,10 @@ Result<RoutingTable> DirectoryClient::Table() {
       span->SetError();
       span->Note("stale cache");
     }
-    if (have_cache_) return cache_;
+    if (cache_ != nullptr) return cache_;
     return resp.status();
   }
-  if (resp.value().status == 304 && have_cache_) {
+  if (resp.value().status == 304 && cache_ != nullptr) {
     ++not_modified_;
     fetched_at_ = now;
     if (span) span->Note("304");
@@ -118,7 +118,7 @@ Result<RoutingTable> DirectoryClient::Table() {
   }
   if (!resp.value().ok()) {
     if (span) span->SetError();
-    if (have_cache_) return cache_;
+    if (cache_ != nullptr) return cache_;
     return Status::Unavailable("directory table fetch failed: HTTP " +
                                std::to_string(resp.value().status));
   }
@@ -126,16 +126,15 @@ Result<RoutingTable> DirectoryClient::Table() {
   if (!body.ok()) return body.status();
   auto table = RoutingTable::FromJson(body.value());
   if (!table.ok()) return table.status();
-  cache_ = std::move(table.value());
+  cache_ = std::make_shared<const RoutingTable>(std::move(table.value()));
   etag_ = resp.value().headers.GetOr("ETag", "");
   fetched_at_ = now;
-  have_cache_ = true;
   return cache_;
 }
 
 void DirectoryClient::Invalidate() {
   std::lock_guard<std::mutex> lock(mu_);
-  have_cache_ = false;
+  cache_.reset();
   etag_.clear();
 }
 

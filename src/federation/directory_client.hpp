@@ -30,8 +30,9 @@ class DirectoryClient {
 
   /// Cached table; revalidates via ETag when older than max_age_ms. Returns
   /// the stale cache (if any) when the directory is unreachable, so a router
-  /// keeps routing through a directory blip.
-  Result<RoutingTable> Table();
+  /// keeps routing through a directory blip. The snapshot is shared, never
+  /// copied per call: a 304 hands back the same one, a new body a new one.
+  Result<std::shared_ptr<const RoutingTable>> Table();
 
   /// Drops the cache so the next Table() refetches unconditionally.
   void Invalidate();
@@ -43,8 +44,7 @@ class DirectoryClient {
   std::unique_ptr<http::HttpClient> client_;
   int max_age_ms_;
   std::mutex mu_;
-  bool have_cache_ = false;
-  RoutingTable cache_;
+  std::shared_ptr<const RoutingTable> cache_;  // null = none
   std::string etag_;
   std::chrono::steady_clock::time_point fetched_at_{};
   std::uint64_t revalidations_ = 0;

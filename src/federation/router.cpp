@@ -2,9 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
-#include <thread>
-
 #include <set>
+#include <thread>
 
 #include "common/logging.hpp"
 #include "common/metrics.hpp"
@@ -113,21 +112,20 @@ RouterStats FederationRouter::stats() const {
   return stats;
 }
 
-Result<RoutingTable> FederationRouter::TableNow() {
+Result<std::shared_ptr<const RoutingTable>> FederationRouter::TableNow() {
   auto table = directory_->Table();
   if (!table.ok()) return table.status();
-  if (table.value().shards.empty()) {
+  if (table.value()->shards.empty()) {
     return Status::Unavailable("no shards registered with the directory");
   }
   return table;
 }
 
-HashRing FederationRouter::RingFor(const RoutingTable& table) {
+std::shared_ptr<const HashRing> FederationRouter::RingFor(const RoutingTable& table) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (!have_ring_ || ring_epoch_ != table.epoch) {
-    ring_ = HashRing(table);
+  if (ring_ == nullptr || ring_epoch_ != table.epoch) {
+    ring_ = std::make_shared<const HashRing>(table);
     ring_epoch_ = table.epoch;
-    have_ring_ = true;
   }
   return ring_;
 }
@@ -145,48 +143,116 @@ std::shared_ptr<http::TcpClient> FederationRouter::ClientFor(const ShardInfo& sh
   return client;
 }
 
-Result<http::Response> FederationRouter::SendToShard(const ShardInfo& shard,
-                                                     const http::Request& request) {
-  // Stamp the ambient trace identity on every outbound attempt (each caller
-  // span — claim, forward, fetch leg — is the parent the shard adopts). The
-  // request is only copied when a trace is actually active.
-  const trace::TraceContext ctx = trace::Current();
-  http::Request traced;
-  const http::Request* to_send = &request;
-  if (ctx.active()) {
-    traced = request;
-    traced.headers.Set(trace::kTraceIdHeader, trace::IdToHex(ctx.trace_id));
-    traced.headers.Set(trace::kSpanIdHeader, trace::IdToHex(ctx.span_id));
-    to_send = &traced;
-  }
+namespace {
+
+void StampTrace(http::Request& request, const trace::TraceContext& ctx) {
+  request.headers.Set(trace::kTraceIdHeader, trace::IdToHex(ctx.trace_id));
+  request.headers.Set(trace::kSpanIdHeader, trace::IdToHex(ctx.span_id));
+}
+
+}  // namespace
+
+FederationRouter::FaultPlan FederationRouter::PlanSend(const ShardInfo& shard) {
+  FaultPlan plan;
   std::shared_ptr<FaultInjector> faults;
   {
     std::lock_guard<std::mutex> lock(mu_);
     faults = faults_;
   }
-  if (faults) {
-    const FaultDecision decision = faults->Evaluate("federation.shard." + shard.id);
-    switch (decision.kind) {
-      case FaultKind::kDelay:
-        std::this_thread::sleep_for(std::chrono::milliseconds(decision.delay_ms));
-        break;
-      case FaultKind::kDropConnection:
-      case FaultKind::kCrash:
-        return Status::Unavailable("shard " + shard.id + " unreachable (injected)");
-      case FaultKind::kErrorStatus:
-        return http::MakeJsonResponse(
-            decision.http_status,
-            redfish::MakeErrorBody("Base.1.0.GeneralError", "injected shard error"));
-      case FaultKind::kDropResponse: {
-        auto ignored = ClientFor(shard)->Send(*to_send);
-        (void)ignored;
-        return Status::Unavailable("shard " + shard.id + " response lost (injected)");
-      }
-      default:
-        break;
-    }
+  if (!faults) return plan;
+  const FaultDecision decision = faults->Evaluate("federation.shard." + shard.id);
+  switch (decision.kind) {
+    case FaultKind::kDelay:
+      plan.delay_ms = decision.delay_ms;
+      break;
+    case FaultKind::kDropConnection:
+    case FaultKind::kCrash:
+      plan.answer = Status::Unavailable("shard " + shard.id + " unreachable (injected)");
+      break;
+    case FaultKind::kErrorStatus:
+      plan.answer = http::MakeJsonResponse(
+          decision.http_status,
+          redfish::MakeErrorBody("Base.1.0.GeneralError", "injected shard error"));
+      break;
+    case FaultKind::kDropResponse:
+      plan.drop_response = true;
+      break;
+    default:
+      break;
   }
-  return ClientFor(shard)->Send(*to_send);
+  return plan;
+}
+
+Result<http::Response> FederationRouter::SendToShard(const ShardInfo& shard,
+                                                     const http::Request& request) {
+  // Stamp the ambient trace identity on every outbound attempt (each caller
+  // span — claim, forward — is the parent the shard adopts). The request is
+  // only copied when a trace is actually active.
+  const trace::TraceContext ctx = trace::Current();
+  http::Request traced;
+  const http::Request* to_send = &request;
+  if (ctx.active()) {
+    traced = request;
+    StampTrace(traced, ctx);
+    to_send = &traced;
+  }
+  FaultPlan plan = PlanSend(shard);
+  if (plan.answer) return std::move(*plan.answer);
+  if (plan.delay_ms > 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(plan.delay_ms));
+  }
+  auto response = ClientFor(shard)->Send(*to_send);
+  if (plan.drop_response) {
+    return Status::Unavailable("shard " + shard.id + " response lost (injected)");
+  }
+  return response;
+}
+
+void FederationRouter::Scatter(
+    const RoutingTable& table, const http::Request& request, const char* span_name,
+    const std::function<bool(std::size_t, Result<http::Response>)>& take) {
+  const trace::TraceContext parent = trace::Current();
+  // Sized up front: the spans are open concurrently and never move.
+  std::vector<std::optional<trace::Span>> spans(table.shards.size());
+  // Legs own their clients for the exchange (a table epoch change may swap
+  // the map entry meanwhile).
+  std::vector<std::shared_ptr<http::TcpClient>> clients;
+  std::vector<http::TcpClient::Leg> legs;
+  legs.reserve(table.shards.size());
+  const auto finish = [&](std::size_t i, Result<http::Response> answer) {
+    const bool ok = take(i, std::move(answer));
+    if (spans[i]) {
+      if (!ok) spans[i]->SetError();
+      spans[i]->End();
+    }
+  };
+  for (std::size_t i = 0; i < table.shards.size(); ++i) {
+    const ShardInfo& shard = table.shards[i];
+    if (!shard.alive) continue;
+    http::Request leg_request = request;
+    if (parent.active()) {
+      spans[i].emplace(span_name, parent, trace::Span::Detached{});
+      spans[i]->Note(shard.id);
+      StampTrace(leg_request, spans[i]->context());
+    }
+    FaultPlan plan = PlanSend(shard);
+    if (plan.answer) {
+      finish(i, std::move(*plan.answer));
+      continue;
+    }
+    clients.push_back(ClientFor(shard));
+    http::TcpClient::Leg leg;
+    leg.client = clients.back().get();
+    leg.request = std::move(leg_request);
+    leg.delay_ms = plan.delay_ms;
+    leg.done = [&finish, &shard, i, drop = plan.drop_response](
+                   Result<http::Response> answer) {
+      if (drop) answer = Status::Unavailable("shard " + shard.id + " response lost (injected)");
+      finish(i, std::move(answer));
+    };
+    legs.push_back(std::move(leg));
+  }
+  http::TcpClient::Exchange(legs);
 }
 
 http::Response FederationRouter::ForwardTo(const ShardInfo& shard,
@@ -214,8 +280,7 @@ const ShardInfo* FederationRouter::DefaultShard(const RoutingTable& table,
 }
 
 http::Response FederationRouter::Route(const http::Request& request) {
-  // Every span this request records — here and on worker threads that
-  // re-install it — is attributed to the router node.
+  // Every span this request records is attributed to the router node.
   trace::ScopedOrigin origin("router");
   // Adopt the wire trace identity or mint one, exactly like a shard's
   // http.handle entry point; sampling 0 skips even the header scan.
@@ -249,7 +314,7 @@ http::Response FederationRouter::Route(const http::Request& request) {
           static_cast<std::uint64_t>(options_.slow_trace_ms) * 1000000ull) {
         auto table = TableNow();
         const json::Json assembled =
-            table.ok() ? AssembleTrace(trace_id, table.value())
+            table.ok() ? AssembleTrace(trace_id, *table.value())
                        : AssembleTrace(trace_id, RoutingTable{});
         OFMF_WARN << "router: slow federated request ("
                   << elapsed_ns / 1000000 << " ms) trace "
@@ -267,8 +332,9 @@ http::Response FederationRouter::RouteInner(const http::Request& request) {
     return redfish::ErrorResponse(Status::Unavailable(
         "federation directory unavailable: " + table_result.status().message()));
   }
-  const RoutingTable& table = table_result.value();
-  const HashRing ring = RingFor(table);
+  const RoutingTable& table = *table_result.value();
+  const std::shared_ptr<const HashRing> ring_ptr = RingFor(table);
+  const HashRing& ring = *ring_ptr;
   const std::string path = http::NormalizePath(request.path);
 
   // Fleet observability (merged telemetry, assembled traces) is served by
@@ -368,11 +434,9 @@ http::Response FederationRouter::AggregateCollection(const http::Request& reques
                                                      const RoutingTable& table) {
   aggregations_.fetch_add(1, std::memory_order_relaxed);
   const std::string path = http::NormalizePath(request.path);
-  // One aggregate span parents every scatter leg; its context is captured by
-  // value because ambient trace state does not cross std::thread.
+  // One aggregate span parents every scatter leg.
   trace::Span agg_span("router.aggregate");
   if (agg_span.active()) agg_span.Note(path);
-  const trace::TraceContext agg_ctx = agg_span.context();
 
   // Paging options. $fedskip is the router's own stable continuation token
   // (shard id + per-shard offset); a raw global $skip is translated on the
@@ -414,45 +478,23 @@ http::Response FederationRouter::AggregateCollection(const http::Request& reques
   std::optional<std::pair<std::string, long long>> resume;
 
   if (!paged) {
-    // Plain GET: fan out to every shard concurrently and concatenate.
-    std::vector<std::thread> threads;
-    threads.reserve(table.shards.size());
+    // Plain GET: every live shard at once in one exchange; concatenate.
     for (std::size_t i = 0; i < table.shards.size(); ++i) {
-      threads.emplace_back([this, &table, &pages, &base_query, &path, i, agg_ctx] {
-        const ShardInfo& shard = table.shards[i];
-        ShardPage& page = pages[i];
-        page.shard_id = shard.id;
-        if (!shard.alive) return;
-        // Sibling span per leg, adopted from the captured aggregate context
-        // (worker threads carry no ambient context of their own — the guard
-        // keeps an untraced request from minting a trace per leg).
-        trace::ScopedOrigin origin("router");
-        std::optional<trace::Span> leg;
-        if (agg_ctx.active()) {
-          leg.emplace("router.fetch", agg_ctx);
-          leg->Note(shard.id);
-        }
-        auto resp = SendToShard(
-            shard, http::MakeRequest(http::Method::kGet, BuildTarget(path, base_query)));
-        if (!resp.ok()) {
-          if (leg) leg->SetError();
-          return;
-        }
-        auto doc = ParseCollectionDoc(resp.value());
-        if (!doc.ok()) {
-          if (leg) leg->SetError();
-          return;
-        }
-        page.ok = true;
-        page.have_doc = true;
-        page.count = CountOf(doc.value());
-        page.doc = std::move(doc.value());
-      });
+      pages[i].shard_id = table.shards[i].id;
     }
-    for (auto& t : threads) t.join();
-    for (auto& page : pages) {
-      if (page.ok) CacheCount(path, page.shard_id, page.count);
-    }
+    Scatter(table, http::MakeRequest(http::Method::kGet, BuildTarget(path, base_query)),
+            "router.fetch", [&](std::size_t i, Result<http::Response> resp) {
+              if (!resp.ok()) return false;
+              auto doc = ParseCollectionDoc(resp.value());
+              if (!doc.ok()) return false;
+              ShardPage& page = pages[i];
+              page.ok = true;
+              page.have_doc = true;
+              page.count = CountOf(doc.value());
+              page.doc = std::move(doc.value());
+              CacheCount(path, page.shard_id, page.count);
+              return true;
+            });
   } else {
     // Paged GET: deterministic sequential walk in sorted-shard-id order, so
     // the continuation token stays stable while shard sizes change.
@@ -1016,37 +1058,17 @@ std::optional<http::Response> FederationRouter::TelemetryIntercept(
 FleetMetrics FederationRouter::GatherFleetMetrics(const RoutingTable& table) {
   static const std::string kDumpTarget =
       std::string(kServiceRoot) + "/Actions/OfmfService.MetricsDump";
-  // Scatter the one-shot dump action to every live shard; gather into docs
-  // and fold sequentially (FleetMetrics itself is not thread-safe).
-  const trace::TraceContext ctx = trace::Current();
+  // Scatter the one-shot dump action to every live shard in one exchange;
+  // fold in shard order.
   std::vector<std::optional<json::Json>> docs(table.shards.size());
-  std::vector<std::thread> threads;
-  threads.reserve(table.shards.size());
-  for (std::size_t i = 0; i < table.shards.size(); ++i) {
-    threads.emplace_back([this, &table, &docs, i, ctx] {
-      const ShardInfo& shard = table.shards[i];
-      if (!shard.alive) return;
-      trace::ScopedOrigin origin("router");
-      std::optional<trace::Span> leg;
-      if (ctx.active()) {
-        leg.emplace("router.metrics_fetch", ctx);
-        leg->Note(shard.id);
-      }
-      auto resp = SendToShard(
-          shard, http::MakeRequest(http::Method::kPost, kDumpTarget));
-      if (!resp.ok() || !resp.value().ok()) {
-        if (leg) leg->SetError();
-        return;
-      }
-      auto doc = json::Parse(resp.value().body.view());
-      if (!doc.ok() || !doc.value().is_object()) {
-        if (leg) leg->SetError();
-        return;
-      }
-      docs[i] = std::move(doc.value());
-    });
-  }
-  for (auto& t : threads) t.join();
+  Scatter(table, http::MakeRequest(http::Method::kPost, kDumpTarget),
+          "router.metrics_fetch", [&](std::size_t i, Result<http::Response> resp) {
+            if (!resp.ok() || !resp.value().ok()) return false;
+            auto doc = json::Parse(resp.value().body.view());
+            if (!doc.ok() || !doc.value().is_object()) return false;
+            docs[i] = std::move(doc.value());
+            return true;
+          });
   FleetMetrics fleet;
   for (std::size_t i = 0; i < table.shards.size(); ++i) {
     if (docs[i]) fleet.Absorb(table.shards[i].id, *docs[i]);

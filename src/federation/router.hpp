@@ -1,7 +1,8 @@
 // FederationRouter: the stateless front tier of a federated OFMF. It
 // terminates Redfish on the epoll reactor (Handler() plugs straight into
 // TcpServer), routes each URI to the owning shard over pooled keep-alive
-// TcpClients, aggregates collection GETs with scatter-gather fan-out, and
+// TcpClients, aggregates collection GETs and fleet metrics with one
+// multiplexed scatter-gather exchange (no thread per leg), and
 // forwards cross-shard composition as a two-phase claim (wire ETag-CAS on
 // every block, then an idempotent POST to the home shard) with rollback on
 // partial failure. See DESIGN.md "Federation".
@@ -9,6 +10,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -26,7 +28,8 @@
 namespace ofmf::federation {
 
 struct RouterOptions {
-  /// Per-request bound on each downstream shard call.
+  /// Per-request bound on each downstream shard call; in a scatter-gather,
+  /// each leg's own deadline (a late shard fails alone).
   int downstream_timeout_ms = 5000;
   /// ETag-CAS attempts per block claim before giving up (matches the
   /// shard-local ClaimBlock retry budget).
@@ -59,7 +62,8 @@ class FederationRouter {
 
   /// Downstream sends to shard S probe fault point "federation.shard.<S>"
   /// first (kDropConnection/kCrash: the send never happens — a dead shard;
-  /// kErrorStatus: the shard answers that status; kDelay: added latency).
+  /// kErrorStatus: the shard answers that status; kDelay: added latency,
+  /// to that leg only in a scatter-gather; kDropResponse: sent, answer lost).
   void set_fault_injector(std::shared_ptr<FaultInjector> faults) {
     std::lock_guard<std::mutex> lock(mu_);
     faults_ = std::move(faults);
@@ -97,12 +101,30 @@ class FederationRouter {
   std::vector<trace::SpanRecord> AssembleTraceSpans(std::uint64_t trace_id,
                                                     const RoutingTable& table);
 
-  Result<RoutingTable> TableNow();
-  /// Ring for the current epoch (rebuilt only on epoch change).
-  HashRing RingFor(const RoutingTable& table);
+  /// The directory's shared snapshot (never copied per request).
+  Result<std::shared_ptr<const RoutingTable>> TableNow();
+  /// Ring for the current epoch (rebuilt only on epoch change, shared).
+  std::shared_ptr<const HashRing> RingFor(const RoutingTable& table);
   std::shared_ptr<http::TcpClient> ClientFor(const ShardInfo& shard);
+
+  /// What shard S's fault point says about one send.
+  struct FaultPlan {
+    std::optional<Result<http::Response>> answer;  // set: the send never happens
+    int delay_ms = 0;
+    bool drop_response = false;  // sent, but the answer is lost
+  };
+  FaultPlan PlanSend(const ShardInfo& shard);
   /// One downstream call, through the shard's fault point.
   Result<http::Response> SendToShard(const ShardInfo& shard, const http::Request& request);
+  /// Sends `request` to every live shard of `table` at once: one
+  /// TcpClient::Exchange, each leg through its shard's fault point and in
+  /// its own `span_name` span under the ambient context (its id rides the
+  /// leg's request). `take(i, answer)` gets shard i's answer on this thread
+  /// as soon as that leg ends, while its span is open; it returns false to
+  /// mark the leg failed. Dead shards get no leg and no call.
+  void Scatter(const RoutingTable& table, const http::Request& request,
+               const char* span_name,
+               const std::function<bool(std::size_t, Result<http::Response>)>& take);
 
   http::Response ForwardTo(const ShardInfo& shard, const http::Request& request);
   /// The shard serving non-sharded traffic (service root, sessions,
@@ -143,8 +165,7 @@ class FederationRouter {
   mutable std::mutex mu_;
   std::shared_ptr<FaultInjector> faults_;
   std::uint64_t ring_epoch_ = 0;
-  bool have_ring_ = false;
-  HashRing ring_;
+  std::shared_ptr<const HashRing> ring_;  // null = none yet
   std::map<std::string, std::shared_ptr<http::TcpClient>> clients_;  // shard id -> client
   std::map<std::string, std::uint16_t> client_ports_;
   std::map<std::string, std::string> locations_;  // resource uri -> shard id

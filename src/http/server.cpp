@@ -1043,6 +1043,77 @@ Result<int> TcpClient::Connect() {
   return fd;
 }
 
+Result<int> TcpClient::Open(bool fresh, bool* reused) {
+  const int pooled = fresh ? -1 : AcquirePooled();
+  *reused = pooled >= 0;
+  if (*reused) {
+    reused_.fetch_add(1, std::memory_order_relaxed);
+    return pooled;
+  }
+  auto connected = Connect();
+  if (connected.ok()) opened_.fetch_add(1, std::memory_order_relaxed);
+  return connected;
+}
+
+std::string TcpClient::StampedHead(Request& request) const {
+  request.headers.Set("Host", "127.0.0.1:" + std::to_string(port_));
+  if (!strings::EqualsIgnoreCase(request.headers.GetOr("Connection", ""), "close")) {
+    request.headers.Set("Connection", keep_alive_ ? "keep-alive" : "close");
+  }
+  return SerializeRequestHead(request);
+}
+
+namespace {
+
+/// Two-segment gather send of a serialized head + body reference (no
+/// head-plus-body concatenation in user space), blocking until all of it is
+/// written. On failure `fd` is still open.
+Status WriteRequest(int fd, const std::string& head, const Body& body) {
+  iovec iov[2];
+  iov[0].iov_base = const_cast<char*>(head.data());
+  iov[0].iov_len = head.size();
+  iov[1].iov_base = const_cast<char*>(body.data());
+  iov[1].iov_len = body.size();
+  std::size_t sent = 0;
+  const std::size_t total = head.size() + body.size();
+  while (sent < total) {
+    msghdr msg{};
+    if (sent < head.size()) {
+      iov[0].iov_base = const_cast<char*>(head.data() + sent);
+      iov[0].iov_len = head.size() - sent;
+      msg.msg_iov = iov;
+      msg.msg_iovlen = body.empty() ? 1 : 2;
+    } else {
+      iov[1].iov_base = const_cast<char*>(body.data() + (sent - head.size()));
+      iov[1].iov_len = body.size() - (sent - head.size());
+      msg.msg_iov = iov + 1;
+      msg.msg_iovlen = 1;
+    }
+    const ssize_t n = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
+    if (n <= 0) {
+      if (n < 0 && errno == EINTR) continue;
+      return Status::Unavailable("sendmsg(): " + std::string(std::strerror(errno)));
+    }
+    sent += static_cast<std::size_t>(n);
+  }
+  return Status::Ok();
+}
+
+}  // namespace
+
+Result<Response> TcpClient::Finish(int fd, WireParser& parser) {
+  Result<Response> response = parser.TakeResponse();
+  const bool server_close =
+      !response.ok() ||
+      strings::EqualsIgnoreCase(response->headers.GetOr("Connection", ""), "close");
+  if (keep_alive_ && !server_close && parser.buffered_bytes() == 0) {
+    Release(fd);  // healthy keep-alive exchange: park it for the next request
+  } else {
+    ::close(fd);
+  }
+  return response;
+}
+
 Result<Response> TcpClient::Send(const Request& request) {
   // Stale-connection retry-once: a pooled socket the server closed between
   // requests (idle timeout, restart, max-requests cap) fails before any
@@ -1050,18 +1121,10 @@ Result<Response> TcpClient::Send(const Request& request) {
   // the request was provably never processed.
   for (int attempt = 0; attempt < 2; ++attempt) {
     bool reused = false;
-    int fd = AcquirePooled();
-    if (fd >= 0) {
-      reused = true;
-      reused_.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      auto connected = Connect();
-      if (!connected.ok()) return connected.status();
-      fd = *connected;
-      opened_.fetch_add(1, std::memory_order_relaxed);
-    }
+    auto fd = Open(/*fresh=*/attempt > 0, &reused);
+    if (!fd.ok()) return fd.status();
     bool stale = false;
-    Result<Response> response = SendOnce(request, fd, reused, &stale);
+    Result<Response> response = SendOnce(request, *fd, reused, &stale);
     if (stale && attempt == 0) continue;
     return response;
   }
@@ -1072,41 +1135,11 @@ Result<Response> TcpClient::SendOnce(const Request& request, int fd, bool reused
                                      bool* stale) {
   *stale = false;
   Request to_send = request;
-  to_send.headers.Set("Host", "127.0.0.1:" + std::to_string(port_));
-  if (!strings::EqualsIgnoreCase(to_send.headers.GetOr("Connection", ""), "close")) {
-    to_send.headers.Set("Connection", keep_alive_ ? "keep-alive" : "close");
-  }
-  // Two-segment gather send: serialized head + body reference, no
-  // head-plus-body concatenation in user space.
-  const std::string head = SerializeRequestHead(to_send);
-  iovec iov[2];
-  iov[0].iov_base = const_cast<char*>(head.data());
-  iov[0].iov_len = head.size();
-  iov[1].iov_base = const_cast<char*>(to_send.body.data());
-  iov[1].iov_len = to_send.body.size();
-  std::size_t sent = 0;
-  const std::size_t total = head.size() + to_send.body.size();
-  while (sent < total) {
-    msghdr msg{};
-    if (sent < head.size()) {
-      iov[0].iov_base = const_cast<char*>(head.data() + sent);
-      iov[0].iov_len = head.size() - sent;
-      msg.msg_iov = iov;
-      msg.msg_iovlen = to_send.body.empty() ? 1 : 2;
-    } else {
-      iov[1].iov_base = const_cast<char*>(to_send.body.data() + (sent - head.size()));
-      iov[1].iov_len = to_send.body.size() - (sent - head.size());
-      msg.msg_iov = iov + 1;
-      msg.msg_iovlen = 1;
-    }
-    const ssize_t n = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      ::close(fd);
-      *stale = reused_fd;
-      return Status::Unavailable("sendmsg(): " + std::string(std::strerror(errno)));
-    }
-    sent += static_cast<std::size_t>(n);
+  const std::string head = StampedHead(to_send);
+  if (Status written = WriteRequest(fd, head, to_send.body); !written.ok()) {
+    ::close(fd);
+    *stale = reused_fd;
+    return written;
   }
 
   WireParser parser(WireParser::Mode::kResponse);
@@ -1139,16 +1172,143 @@ Result<Response> TcpClient::SendOnce(const Request& request, int fd, bool reused
     *stale = reused_fd && !received_any;
     return Status::Unavailable("connection closed mid-response");
   }
-  Result<Response> response = parser.TakeResponse();
-  const bool server_close =
-      !response.ok() ||
-      strings::EqualsIgnoreCase(response->headers.GetOr("Connection", ""), "close");
-  if (keep_alive_ && !server_close && parser.buffered_bytes() == 0) {
-    Release(fd);  // healthy keep-alive exchange: park it for the next request
-  } else {
-    ::close(fd);
+  return Finish(fd, parser);
+}
+
+// ------------------------------------------------------ TcpClient::Exchange ---
+
+struct TcpClient::LegState {
+  Leg* leg = nullptr;
+  std::string head;  // stamped once, rewritten verbatim on the stale retry
+  int fd = -1;
+  bool reused = false;
+  bool retried = false;
+  bool received_any = false;
+  bool started = false;
+  bool ended = false;
+  std::chrono::steady_clock::time_point start_at;
+  std::chrono::steady_clock::time_point deadline;  // max() = unbounded
+  WireParser parser{WireParser::Mode::kResponse};
+
+  void End(Result<Response> result) {
+    ended = true;
+    fd = -1;
+    leg->done(std::move(result));
   }
-  return response;
+};
+
+void TcpClient::StartLeg(LegState& state, bool fresh) {
+  TcpClient& client = *state.leg->client;
+  auto fd = client.Open(fresh, &state.reused);
+  if (!fd.ok()) return state.End(fd.status());
+  state.fd = *fd;
+  state.started = true;
+  if (Status written = WriteRequest(state.fd, state.head, state.leg->request.body);
+      !written.ok()) {
+    ::close(state.fd);
+    if (state.reused && !state.retried) {
+      state.retried = true;
+      return StartLeg(state, /*fresh=*/true);
+    }
+    return state.End(written);
+  }
+  state.deadline = client.timeout_ms_ > 0
+                       ? Now() + std::chrono::milliseconds(client.timeout_ms_)
+                       : std::chrono::steady_clock::time_point::max();
+}
+
+void TcpClient::ReadLeg(LegState& state) {
+  std::size_t cap = 0;
+  char* dst = state.parser.BeginFill(16384, &cap);
+  const ssize_t n = ::recv(state.fd, dst, cap, MSG_DONTWAIT);
+  if (n < 0 && (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK)) return;
+  if (n > 0) {
+    state.received_any = true;
+    state.parser.CommitFill(static_cast<std::size_t>(n));
+    if (state.parser.HasMessage()) {
+      state.End(state.leg->client->Finish(state.fd, state.parser));
+    } else if (state.parser.Broken()) {
+      ::close(state.fd);
+      state.End(Status::Unavailable("malformed response"));
+    }
+    return;
+  }
+  // The peer closed (or reset) before the message was complete.
+  const Status failed = n == 0 ? Status::Unavailable("connection closed mid-response")
+                               : Status::Unavailable("recv(): " +
+                                                     std::string(std::strerror(errno)));
+  ::close(state.fd);
+  state.fd = -1;
+  if (state.reused && !state.received_any && !state.retried) {
+    state.retried = true;
+    return StartLeg(state, /*fresh=*/true);
+  }
+  state.End(failed);
+}
+
+void TcpClient::Exchange(std::vector<Leg>& legs) {
+  if (legs.size() == 1 && legs[0].delay_ms <= 0) {
+    legs[0].done(legs[0].client->Send(legs[0].request));
+    return;
+  }
+  std::vector<LegState> states(legs.size());
+  const auto begin = Now();
+  for (std::size_t i = 0; i < legs.size(); ++i) {
+    LegState& state = states[i];
+    state.leg = &legs[i];
+    state.head = legs[i].client->StampedHead(legs[i].request);
+    // A HEAD response advertises the GET's Content-Length but carries no body.
+    state.parser.set_bodyless_response(legs[i].request.method == Method::kHead);
+    state.start_at = begin + std::chrono::milliseconds(std::max(0, legs[i].delay_ms));
+    if (legs[i].delay_ms <= 0) StartLeg(state, /*fresh=*/false);
+  }
+  std::vector<pollfd> fds;
+  std::vector<LegState*> polled;
+  for (;;) {
+    fds.clear();
+    polled.clear();
+    auto wake = std::chrono::steady_clock::time_point::max();
+    for (LegState& state : states) {
+      if (state.ended) continue;
+      if (!state.started) {
+        wake = std::min(wake, state.start_at);
+        continue;
+      }
+      fds.push_back(pollfd{state.fd, POLLIN, 0});
+      polled.push_back(&state);
+      wake = std::min(wake, state.deadline);
+    }
+    if (fds.empty() && wake == std::chrono::steady_clock::time_point::max()) return;
+    int timeout_ms = -1;
+    if (wake != std::chrono::steady_clock::time_point::max()) {
+      const auto left = std::chrono::ceil<std::chrono::milliseconds>(wake - Now());
+      timeout_ms = static_cast<int>(std::max<std::int64_t>(0, left.count()));
+    }
+    const int ready = ::poll(fds.data(), fds.size(), timeout_ms);
+    if (ready < 0 && errno != EINTR) {
+      const Status failed = Status::Internal("poll(): " + std::string(std::strerror(errno)));
+      for (LegState* state : polled) {
+        ::close(state->fd);
+        state->End(failed);
+      }
+      continue;  // legs not yet written still run
+    }
+    for (std::size_t i = 0; ready > 0 && i < fds.size(); ++i) {
+      if (fds[i].revents != 0) ReadLeg(*polled[i]);
+    }
+    const auto now = Now();
+    for (LegState& state : states) {
+      if (state.ended) continue;
+      if (!state.started) {
+        if (state.start_at <= now) StartLeg(state, /*fresh=*/false);
+      } else if (state.deadline <= now) {
+        // Never the stale path: the server may have executed the request.
+        ::close(state.fd);
+        state.End(Status::Timeout("no response within " +
+                                  std::to_string(state.leg->client->timeout_ms_) + " ms"));
+      }
+    }
+  }
 }
 
 }  // namespace ofmf::http

@@ -249,12 +249,37 @@ class TcpServer {
 /// `timeout_ms` so a hung or half-dead server yields Status::Timeout instead
 /// of wedging the caller forever (0 disables the bound). Thread-safe: the
 /// pool is locked, and each in-flight request owns its socket exclusively.
+/// Exchange() runs requests to several endpoints at once on the calling
+/// thread (scatter-gather without a thread per leg).
 class TcpClient : public HttpClient {
  public:
   explicit TcpClient(std::uint16_t port, int timeout_ms = 30000)
       : port_(port), timeout_ms_(timeout_ms) {}
   ~TcpClient() override;
   Result<Response> Send(const Request& request) override;
+
+  /// One request of an Exchange, to `client`'s endpoint.
+  struct Leg {
+    TcpClient* client = nullptr;
+    Request request;
+    /// Hold the request back this long before writing it (an injected slow
+    /// link); the leg's deadline starts when it is written.
+    int delay_ms = 0;
+    /// Called exactly once, on the calling thread, as soon as this leg ends,
+    /// while the other legs may still be in flight.
+    std::function<void(Result<Response>)> done;
+  };
+
+  /// Runs every leg at once on the calling thread: each leg takes a socket
+  /// from its client's keep-alive pool (or connects) and writes its request,
+  /// then one poll() loop reads every response into its own parser. A leg
+  /// ends when its message is complete, its connection closes, or its
+  /// client's timeout_ms has passed since it was written (Status::Timeout);
+  /// only the late leg fails. Each leg follows Send()'s rules: Host and
+  /// Connection stamping, release to the pool only after a clean keep-alive
+  /// exchange, one retry on a fresh connection when a pooled socket closes
+  /// before any response byte. A lone undelayed leg is a plain Send().
+  static void Exchange(std::vector<Leg>& legs);
 
   void set_timeout_ms(int timeout_ms) { timeout_ms_ = timeout_ms; }
   int timeout_ms() const { return timeout_ms_; }
@@ -270,11 +295,24 @@ class TcpClient : public HttpClient {
   static constexpr std::size_t kMaxPooledConnections = 8;
 
  private:
+  struct LegState;
+
   Result<int> Connect();
   int AcquirePooled();
   void Release(int fd);
+  /// A pooled socket, or a fresh connection when `fresh` or the pool is
+  /// empty; `*reused` tells which (and counts it).
+  Result<int> Open(bool fresh, bool* reused);
+  /// `request` with Host and Connection stamped, head serialized.
+  std::string StampedHead(Request& request) const;
+  /// Parks the socket after a clean keep-alive exchange, else closes it.
+  Result<Response> Finish(int fd, WireParser& parser);
   Result<Response> SendOnce(const Request& request, int fd, bool reused_fd,
                             bool* stale);
+  /// Exchange() leg steps: open + write (with the stale retry), and the
+  /// poll-driven read.
+  static void StartLeg(LegState& state, bool fresh);
+  static void ReadLeg(LegState& state);
 
   std::uint16_t port_;
   int timeout_ms_;

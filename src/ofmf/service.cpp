@@ -94,6 +94,13 @@ OfmfService::OfmfService()
   events_.SetQuietUris(std::move(uris));
 }
 
+OfmfService::~OfmfService() {
+  // Both sinks run under the engine / EventService lock, so once these
+  // return no worker can reach the store.
+  events_.set_cursor_journal(nullptr);
+  events_.set_event_journal(nullptr);
+}
+
 Status OfmfService::BootstrapServiceRoot() {
   OFMF_RETURN_IF_ERROR(tree_.Create(
       kServiceRoot, "#ServiceRoot.v1_15_0.ServiceRoot",

@@ -45,6 +45,9 @@ struct ReconcileReport {
 class OfmfService {
  public:
   OfmfService();
+  /// Detaches the event journals from the store first: store_ is destroyed
+  /// before events_, whose delivery workers may still advance a cursor.
+  ~OfmfService();
 
   /// Builds the service root, collections, and all sub-services. Must be
   /// called once before handling requests.

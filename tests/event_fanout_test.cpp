@@ -132,6 +132,21 @@ Result<std::string> SubscribeWire(core::OfmfService& ofmf, const std::string& de
   return ofmf.events().Subscribe(body);
 }
 
+/// Waits until the delivery dispatcher has fanned `events` published events
+/// into the one wire subscriber's queue. Publish only hands events to the
+/// dispatcher thread, so a test that releases a blocked sink before this
+/// races the fan-out: the worker can drain part of the burst first.
+bool WaitEnqueued(core::OfmfService& ofmf, std::uint64_t events) {
+  for (int spin = 0; spin < 5000; ++spin) {
+    const core::DeliverySnapshot snapshot = ofmf.events().CollectDelivery();
+    if (!snapshot.subscribers.empty() && snapshot.subscribers[0].enqueued >= events) {
+      return true;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return false;
+}
+
 // ------------------------------------------------ Publish fault isolation ---
 
 TEST(EventFanoutTest, StalledSubscriberDoesNotDelayPublish) {
@@ -212,10 +227,17 @@ TEST(EventFanoutTest, BreakerCapsProbesOfBlackholedEndpoint) {
   ofmf.events().set_client_factory(sink.factory());
   ASSERT_TRUE(SubscribeWire(ofmf, "http://blackhole/events", {"Alert"}).ok());
 
+  // The whole burst is queued before the first send returns, so the
+  // batches are full and their count does not depend on how the dispatcher
+  // thread's fan-out interleaves with the worker (each failed call drops
+  // one batch; partial batches would mean more calls).
+  sink.Block();
   constexpr int kEvents = 40;
   for (int i = 0; i < kEvents; ++i) {
     ofmf.events().Publish(MakeAlert("Fanout.1.0.Dead" + std::to_string(i)));
   }
+  ASSERT_TRUE(WaitEnqueued(ofmf, kEvents));
+  sink.Release();
   ASSERT_TRUE(ofmf.events().FlushDelivery(15000));
 
   // Without the breaker this would be ~kEvents sends. With it the endpoint
@@ -250,13 +272,23 @@ TEST(EventFanoutTest, OverflowDropsOldestAndPublishesQueueFullAlert) {
 
   sink.Block();
   constexpr int kEvents = 12;
-  for (int i = 0; i < kEvents; ++i) {
+  const auto publish = [&](int i) {
     Event event;
     event.event_type = "StatusChange";
     event.message_id = "Fanout.1.0.Burst" + std::to_string(i);
     event.origin = core::kServiceRoot;
     ofmf.events().Publish(event);
+  };
+  // The worker holds the first event inside the blocked sink, and the whole
+  // burst is in the queue before the sink lets go; so the queue cannot
+  // drain mid-burst, which would end the overflow episode and open a second.
+  publish(0);
+  for (int spin = 0; sink.calls() < 1 && spin < 1000; ++spin) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
+  ASSERT_EQ(sink.calls(), 1);
+  for (int i = 1; i < kEvents; ++i) publish(i);
+  ASSERT_TRUE(WaitEnqueued(ofmf, kEvents));
   sink.Release();
   ASSERT_TRUE(ofmf.events().FlushDelivery(10000));
 
@@ -305,6 +337,7 @@ TEST(EventFanoutTest, BacklogCoalescesIntoOneBatchPost) {
   for (int i = 1; i <= 8; ++i) {
     ofmf.events().Publish(MakeAlert("Fanout.1.0.Batch" + std::to_string(i)));
   }
+  ASSERT_TRUE(WaitEnqueued(ofmf, 9));
   sink.Release();
   ASSERT_TRUE(ofmf.events().FlushDelivery(10000));
 

@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <map>
 #include <memory>
 #include <set>
 #include <string>
@@ -134,18 +136,19 @@ TEST(DirectoryTest, ClientRevalidatesWithEtagAndGets304) {
 
   const auto first = client.Table();
   ASSERT_TRUE(first.ok());
-  EXPECT_EQ(first->shards.size(), 1u);
+  EXPECT_EQ((*first)->shards.size(), 1u);
   const auto second = client.Table();  // stale by max_age 0: revalidates
   ASSERT_TRUE(second.ok());
-  EXPECT_EQ(second->epoch, first->epoch);
+  EXPECT_EQ((*second)->epoch, (*first)->epoch);
+  EXPECT_EQ(second->get(), first->get()) << "a 304 hands back the same snapshot";
   EXPECT_GE(client.revalidations_sent(), 1u);
   EXPECT_GE(client.revalidations_not_modified(), 1u);
 
   directory.Register("s2", 8082);  // epoch bump invalidates the ETag
   const auto third = client.Table();
   ASSERT_TRUE(third.ok());
-  EXPECT_GT(third->epoch, first->epoch);
-  EXPECT_EQ(third->shards.size(), 2u);
+  EXPECT_GT((*third)->epoch, (*first)->epoch);
+  EXPECT_EQ((*third)->shards.size(), 2u);
 }
 
 TEST(DirectoryTest, ClientServesStaleCacheThroughDirectoryOutage) {
@@ -162,8 +165,8 @@ TEST(DirectoryTest, ClientServesStaleCacheThroughDirectoryOutage) {
   faults->ArmProbability("http.client", FaultKind::kDropConnection, 1.0);
   const auto stale = client.Table();
   ASSERT_TRUE(stale.ok()) << "directory outage must serve the cached table";
-  EXPECT_EQ(stale->epoch, warm->epoch);
-  EXPECT_EQ(stale->shards.size(), 1u);
+  EXPECT_EQ((*stale)->epoch, (*warm)->epoch);
+  EXPECT_EQ((*stale)->shards.size(), 1u);
 }
 
 // ------------------------------------------------------- federated fixture --
@@ -192,18 +195,51 @@ class FederationFixture : public ::testing::Test {
         block.memory_gib = 32;
         ASSERT_TRUE(shard->service.composition().RegisterBlock(block).ok());
       }
-      ASSERT_TRUE(shard->server.Start(shard->service.Handler(), 0).ok());
+      http::ServerHandler handler = shard->service.Handler();
+      if (const auto stall = stalls_.find(shard->id); stall != stalls_.end()) {
+        handler = [inner = std::move(handler), stall = stall->second,
+                   stopping = &stopping_](const http::Request& request) {
+          if (request.path == stall.path) {
+            const auto until = std::chrono::steady_clock::now() +
+                               std::chrono::milliseconds(stall.ms);
+            while (std::chrono::steady_clock::now() < until && !stopping->load()) {
+              std::this_thread::sleep_for(std::chrono::milliseconds(5));
+            }
+          }
+          return inner(request);
+        };
+      }
+      ASSERT_TRUE(shard->server.Start(std::move(handler), 0).ok());
       directory_.Register(shard->id, shard->server.port());
       shards_.push_back(std::move(shard));
     }
-    router_ = std::make_unique<FederationRouter>(std::make_shared<DirectoryClient>(
-        std::make_unique<http::InProcessClient>(directory_.Handler()),
-        /*max_age_ms=*/0));
+    router_ = std::make_unique<FederationRouter>(
+        std::make_shared<DirectoryClient>(
+            std::make_unique<http::InProcessClient>(directory_.Handler()),
+            /*max_age_ms=*/0),
+        router_options_);
     router_->set_fault_injector(faults_);
   }
 
   void TearDown() override {
+    stopping_ = true;  // releases stalled handlers so Stop() drains at once
     for (auto& shard : shards_) shard->server.Stop();
+  }
+
+  /// Shard `id`'s handler sleeps `ms` before serving requests for `path`
+  /// (until TearDown). Set before StartShards.
+  void Stall(const std::string& id, const std::string& path, int ms) {
+    stalls_[id] = StallSpec{path, ms};
+  }
+
+  /// Wall time of one routed request, in milliseconds.
+  template <typename Fn>
+  static double TimedMs(Fn&& fn) {
+    const auto start = std::chrono::steady_clock::now();
+    fn();
+    return std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() -
+                                                     start)
+        .count();
   }
 
   Shard& shard(const std::string& id) {
@@ -267,8 +303,16 @@ class FederationFixture : public ::testing::Test {
          {"Links", Json::Obj({{"ResourceBlocks", Json(std::move(refs))}})}});
   }
 
+  struct StallSpec {
+    std::string path;
+    int ms = 0;
+  };
+
   DirectoryService directory_;
   std::shared_ptr<FaultInjector> faults_ = std::make_shared<FaultInjector>(2026);
+  federation::RouterOptions router_options_;
+  std::map<std::string, StallSpec> stalls_;
+  std::atomic<bool> stopping_{false};
   std::vector<std::unique_ptr<Shard>> shards_;
   std::unique_ptr<FederationRouter> router_;
 };
@@ -374,6 +418,76 @@ TEST_F(FederationFixture, ShardDeathMidScatterGatherAnnotatesOmission) {
   const Json healed = GetJson(core::kResourceBlocks);
   EXPECT_EQ(healed.GetInt("Members@odata.count"), 4);
   EXPECT_EQ(json::ResolvePointerRef(healed, "/Oem/Ofmf/MembersOmittedCount"), nullptr);
+}
+
+// ------------------------------------------- multiplexed scatter-gather --
+
+constexpr int kStallMs = 200;
+
+TEST_F(FederationFixture, ScatterLegsOverlapInsteadOfQueueing) {
+  // Both shards take D to answer the collection: legs that ran one after
+  // another would need 2D; one multiplexed exchange needs about D.
+  Stall("s1", core::kResourceBlocks, kStallMs);
+  Stall("s2", core::kResourceBlocks, kStallMs);
+  StartShards(2, 2);
+  Json merged;
+  const double ms = TimedMs([&] { merged = GetJson(core::kResourceBlocks); });
+  EXPECT_EQ(Members(merged).size(), 4u);
+  EXPECT_GE(ms, kStallMs);
+  EXPECT_LT(ms, 1.6 * kStallMs) << "scatter legs ran one after another";
+}
+
+TEST_F(FederationFixture, InjectedDelayHoldsBackOnlyItsOwnLeg) {
+  StartShards(2, 2);
+  faults_->set_delay_ms(kStallMs);
+  faults_->ArmProbability("federation.shard.s1", FaultKind::kDelay, 1.0);
+  faults_->ArmProbability("federation.shard.s2", FaultKind::kDelay, 1.0);
+  Json merged;
+  const double ms = TimedMs([&] { merged = GetJson(core::kResourceBlocks); });
+  EXPECT_EQ(Members(merged).size(), 4u);
+  EXPECT_GE(ms, kStallMs);
+  EXPECT_LT(ms, 1.6 * kStallMs) << "one leg's injected delay held back the other";
+}
+
+TEST_F(FederationFixture, HungShardFailsOnlyItsLegAtTheDeadline) {
+  router_options_.downstream_timeout_ms = kStallMs;
+  Stall("s2", core::kResourceBlocks, 10000);
+  StartShards(2, 2);
+  http::Response response;
+  const double ms = TimedMs([&] {
+    response = Route(http::MakeRequest(http::Method::kGet, core::kResourceBlocks));
+  });
+  ASSERT_EQ(response.status, 200) << response.body.view();
+  EXPECT_LT(ms, 1000.0);
+  auto degraded = json::Parse(response.body.view());
+  ASSERT_TRUE(degraded.ok());
+  EXPECT_THAT(Members(degraded.value()),
+              ::testing::UnorderedElementsAre(BlockUri("s1", 0), BlockUri("s1", 1)));
+  const Json* shards = json::ResolvePointerRef(degraded.value(), "/Oem/Ofmf/DegradedShards");
+  ASSERT_NE(shards, nullptr);
+  ASSERT_TRUE(shards->is_array());
+  ASSERT_EQ(shards->as_array().size(), 1u);
+  EXPECT_EQ(shards->as_array()[0].as_string(), "s2");
+}
+
+TEST_F(FederationFixture, HungShardDropsOutOfTheFleetMetricsDump) {
+  const std::string dump_path =
+      std::string(core::kServiceRoot) + "/Actions/OfmfService.MetricsDump";
+  router_options_.downstream_timeout_ms = kStallMs;
+  Stall("s2", dump_path, 10000);
+  StartShards(2, 1);
+  http::Response dump;
+  const double ms =
+      TimedMs([&] { dump = Route(http::MakeRequest(http::Method::kPost, dump_path)); });
+  ASSERT_EQ(dump.status, 200) << dump.body.view();
+  EXPECT_LT(ms, 1000.0);
+  auto merged = json::Parse(dump.body.view());
+  ASSERT_TRUE(merged.ok());
+  std::vector<std::string> contributing;
+  for (const Json& shard : merged.value().at("Shards").as_array()) {
+    contributing.push_back(shard.as_string());
+  }
+  EXPECT_EQ(contributing, (std::vector<std::string>{"s1"}));
 }
 
 // --------------------------------------------------- cross-shard compose --

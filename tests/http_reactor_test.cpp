@@ -459,6 +459,153 @@ TEST(ReactorTest, TcpClientRetriesOnceOnStalePooledConnection) {
   server.Stop();
 }
 
+// ------------------------------------------- multiplexed client exchange ---
+
+/// Runs `legs` through TcpClient::Exchange and returns each leg's answer.
+std::vector<Result<Response>> RunExchange(std::vector<TcpClient::Leg>& legs) {
+  std::vector<Result<Response>> answers(legs.size(), Status::Internal("leg never ended"));
+  std::vector<int> calls(legs.size(), 0);
+  for (std::size_t i = 0; i < legs.size(); ++i) {
+    legs[i].done = [&answers, &calls, i](Result<Response> answer) {
+      ++calls[i];
+      answers[i] = std::move(answer);
+    };
+  }
+  TcpClient::Exchange(legs);
+  for (std::size_t i = 0; i < legs.size(); ++i) {
+    EXPECT_EQ(calls[i], 1) << "leg " << i << " must end exactly once";
+  }
+  return answers;
+}
+
+TcpClient::Leg MakeLeg(TcpClient& client, const std::string& target) {
+  TcpClient::Leg leg;
+  leg.client = &client;
+  leg.request = MakeRequest(Method::kGet, target);
+  return leg;
+}
+
+TEST(ReactorTest, ExchangeReopensOnlyTheLegWhosePooledSocketWasReaped) {
+  ServerOptions reaping;
+  reaping.idle_timeout_ms = 50;  // reaps its pooled fd between exchanges
+  TcpServer reaper;
+  TcpServer steady;
+  ASSERT_TRUE(reaper.Start(EchoHandler(), 0, reaping).ok());
+  ASSERT_TRUE(steady.Start(EchoHandler(), 0).ok());
+  TcpClient to_reaper(reaper.port());
+  TcpClient to_steady(steady.port());
+  ASSERT_TRUE(to_reaper.Get("/warm").ok());
+  ASSERT_TRUE(to_steady.Get("/warm").ok());
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(2);
+  while (reaper.stats().idle_closed == 0 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  ASSERT_GE(reaper.stats().idle_closed, 1u);
+
+  std::vector<TcpClient::Leg> legs;
+  legs.push_back(MakeLeg(to_reaper, "/a"));
+  legs.push_back(MakeLeg(to_steady, "/b"));
+  const std::vector<Result<Response>> answers = RunExchange(legs);
+  ASSERT_TRUE(answers[0].ok()) << answers[0].status().ToString();
+  ASSERT_TRUE(answers[1].ok()) << answers[1].status().ToString();
+  EXPECT_EQ(answers[0]->body, "r:/a");
+  EXPECT_EQ(answers[1]->body, "r:/b");
+  EXPECT_EQ(to_reaper.connections_opened(), 2u) << "exactly one new connection";
+  EXPECT_EQ(to_steady.connections_opened(), 1u);
+  EXPECT_EQ(to_steady.connections_reused(), 1u);
+  reaper.Stop();
+  steady.Stop();
+}
+
+TEST(ReactorTest, ExchangeRetriesALegWhosePooledSocketClosesAfterTheWrite) {
+  // A raw peer that answers one request keep-alive, then closes that
+  // connection on reading the next one without a response byte, then
+  // answers on a new connection. The pool's liveness probe cannot see this
+  // close coming; the leg's stale retry must.
+  const int listener = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(listener, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = 0;
+  ASSERT_EQ(::bind(listener, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  ASSERT_EQ(::listen(listener, 4), 0);
+  socklen_t len = sizeof(addr);
+  ASSERT_EQ(::getsockname(listener, reinterpret_cast<sockaddr*>(&addr), &len), 0);
+  const std::uint16_t port = ntohs(addr.sin_port);
+  const auto read_request = [](int fd) {
+    WireParser parser(WireParser::Mode::kRequest);
+    char buffer[4096];
+    while (!parser.HasMessage()) {
+      const ssize_t n = ::recv(fd, buffer, sizeof buffer, 0);
+      if (n <= 0) return false;
+      parser.Feed(std::string_view(buffer, static_cast<std::size_t>(n)));
+    }
+    return true;
+  };
+  const std::string ok = SerializeResponse(MakeTextResponse(200, "ok"));
+  std::thread peer([&] {
+    const int first = ::accept(listener, nullptr, nullptr);
+    if (read_request(first)) (void)::send(first, ok.data(), ok.size(), MSG_NOSIGNAL);
+    (void)read_request(first);
+    ::close(first);  // drop the second request unanswered
+    const int second = ::accept(listener, nullptr, nullptr);
+    if (read_request(second)) (void)::send(second, ok.data(), ok.size(), MSG_NOSIGNAL);
+    ::close(second);
+  });
+  TcpServer steady;
+  ASSERT_TRUE(steady.Start(EchoHandler(), 0).ok());
+  TcpClient to_peer(port);
+  TcpClient to_steady(steady.port());
+  ASSERT_TRUE(to_peer.Get("/warm").ok());
+
+  std::vector<TcpClient::Leg> legs;
+  legs.push_back(MakeLeg(to_peer, "/retried"));
+  legs.push_back(MakeLeg(to_steady, "/b"));
+  const std::vector<Result<Response>> answers = RunExchange(legs);
+  peer.join();
+  ::close(listener);
+  ASSERT_TRUE(answers[0].ok()) << answers[0].status().ToString();
+  EXPECT_EQ(answers[0]->body, "ok");
+  ASSERT_TRUE(answers[1].ok()) << answers[1].status().ToString();
+  EXPECT_EQ(to_peer.connections_reused(), 1u);
+  EXPECT_EQ(to_peer.connections_opened(), 2u);
+  steady.Stop();
+}
+
+TEST(ReactorTest, ExchangeFailsOnlyTheLateLegAtItsClientsDeadline) {
+  std::atomic<bool> release{false};
+  TcpServer hung;
+  ASSERT_TRUE(hung.Start([&](const Request& request) {
+                    while (!release.load()) {
+                      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+                    }
+                    return MakeTextResponse(200, "late:" + request.path);
+                  },
+                  0)
+                  .ok());
+  TcpServer steady;
+  ASSERT_TRUE(steady.Start(EchoHandler(), 0).ok());
+  TcpClient to_hung(hung.port(), /*timeout_ms=*/100);
+  TcpClient to_steady(steady.port(), /*timeout_ms=*/5000);
+
+  std::vector<TcpClient::Leg> legs;
+  legs.push_back(MakeLeg(to_hung, "/hung"));
+  legs.push_back(MakeLeg(to_steady, "/b"));
+  const auto start = std::chrono::steady_clock::now();
+  const std::vector<Result<Response>> answers = RunExchange(legs);
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  ASSERT_FALSE(answers[0].ok());
+  EXPECT_EQ(answers[0].status().code(), ErrorCode::kTimeout);
+  ASSERT_TRUE(answers[1].ok()) << answers[1].status().ToString();
+  EXPECT_EQ(answers[1]->body, "r:/b");
+  EXPECT_GE(elapsed, std::chrono::milliseconds(100));
+  EXPECT_LT(elapsed, std::chrono::milliseconds(1000));
+  release = true;
+  hung.Stop();
+  steady.Stop();
+}
+
 TEST(ReactorTest, MaxRequestsPerConnectionForcesClose) {
   ServerOptions options;
   options.max_requests_per_connection = 2;
